@@ -558,9 +558,12 @@ fn explain(args: &[String]) -> ExitCode {
             pget("commit_secs"),
             pget("barrier_secs"),
         ) {
-            let total = (drain + commit + barrier).max(1e-12);
+            // Reports written before the collect phase was timed lack it.
+            let collect = pget("collect_secs").unwrap_or(0.0);
+            let total = (collect + drain + commit + barrier).max(1e-12);
             println!(
-                "  parallel drain {:.0}% / serial commit {:.0}% / barrier {:.0}% of {total:.3}s",
+                "  serial collect {:.0}% / parallel drain {:.0}% / serial commit {:.0}% / barrier {:.0}% of {total:.3}s",
+                100.0 * collect / total,
                 100.0 * drain / total,
                 100.0 * commit / total,
                 100.0 * barrier / total,

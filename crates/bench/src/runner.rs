@@ -526,6 +526,7 @@ pub fn profile_json(profile: &EngineProfile) -> Json {
     Json::Obj(vec![
         ("windows".into(), Json::Num(profile.windows as f64)),
         ("barriers".into(), Json::Num(profile.barriers as f64)),
+        ("collect_secs".into(), Json::Num(profile.collect_secs)),
         ("drain_secs".into(), Json::Num(profile.drain_secs)),
         ("commit_secs".into(), Json::Num(profile.commit_secs)),
         ("barrier_secs".into(), Json::Num(profile.barrier_secs)),

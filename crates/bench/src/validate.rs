@@ -347,10 +347,18 @@ fn validate_timeline(v: &Json) -> Result<(), String> {
 
 /// Structural check of a report's optional `profile` block. Values are
 /// wall-clock derived and machine-dependent, so only shape and
-/// non-negativity are checked — never magnitudes.
+/// non-negativity are checked — never magnitudes. `collect_secs` is
+/// optional: reports written before the collect phase was timed lack it.
 fn validate_profile(v: &Json) -> Result<(), String> {
     let fields = obj_fields(v)?;
-    for key in ["windows", "drain_secs", "commit_secs", "barrier_secs"] {
+    let collect = fields
+        .iter()
+        .any(|(k, _)| k == "collect_secs")
+        .then_some("collect_secs");
+    for key in ["windows", "drain_secs", "commit_secs", "barrier_secs"]
+        .into_iter()
+        .chain(collect)
+    {
         match field(fields, key)? {
             Json::Num(n) if *n >= 0.0 && n.is_finite() => {}
             other => {
@@ -1458,7 +1466,7 @@ mod tests {
                 Json::Arr(vec![Json::Num(0.2), Json::Num(0.3)]),
             ),
         ]);
-        let s = report_with_blocks("x", any_rows(), None, Some(good));
+        let s = report_with_blocks("x", any_rows(), None, Some(good.clone()));
         validate_report_str(&s).expect("valid profile accepted");
 
         let bad = Json::Obj(vec![
@@ -1470,6 +1478,19 @@ mod tests {
         ]);
         let s = report_with_blocks("x", any_rows(), None, Some(bad));
         assert!(validate_report_str(&s).unwrap_err().contains("drain_secs"));
+
+        // The optional collect phase is checked when present.
+        let with_collect = |secs: f64| {
+            let Json::Obj(mut fields) = good.clone() else {
+                unreachable!()
+            };
+            fields.push(("collect_secs".into(), Json::Num(secs)));
+            report_with_blocks("x", any_rows(), None, Some(Json::Obj(fields)))
+        };
+        validate_report_str(&with_collect(0.1)).expect("collect phase accepted");
+        assert!(validate_report_str(&with_collect(-0.1))
+            .unwrap_err()
+            .contains("collect_secs"));
     }
 
     #[test]

@@ -117,6 +117,7 @@ fn run_par(seed: u64, shards: usize, threads: usize) -> ParSimulator<HvdbNode, F
     );
     place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
     sim.world_mut().rebuild_index();
+    sim.set_trace(TraceConfig::all());
     let core = HvdbCore::new(cfg, &members, traffic, vec![]);
     sim.run(&core, SimTime::from_secs(50));
     sim
@@ -166,6 +167,17 @@ fn matches_serial_hvdb() {
         });
     assert!(proto.counters().trees_built > 0, "serial built no trees");
     assert!(par_counters.trees_built > 0, "parallel built no trees");
+}
+
+#[test]
+fn shard_count_is_invisible_for_hvdb() {
+    let run = |shards: usize| {
+        let sim = run_par(23, shards, 1);
+        (format!("{:?}", sim.stats()), sim.trace().render())
+    };
+    let one = run(1);
+    assert_eq!(one, run(8), "shards=8 diverged from shards=1");
+    assert_eq!(one, run(64), "shards=64 diverged from shards=1");
 }
 
 #[test]
@@ -334,21 +346,7 @@ fn fault_trace_is_byte_identical_across_engines() {
 /// the rendered trace must be byte-identical across threads 1/2/4.
 #[test]
 fn hvdb_trace_is_byte_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        let (cfg, members, traffic) = scripted();
-        let mut sim: ParSimulator<HvdbNode, FrameBytes> = ParSimulator::new(
-            sim_cfg(cfg.grid.area(), 23, SimDuration::ZERO),
-            Box::new(Stationary),
-            8,
-            threads,
-        );
-        place_fig2(&cfg, |id, p| sim.world_mut().set_motion(id, p, Vec2::ZERO));
-        sim.world_mut().rebuild_index();
-        sim.set_trace(TraceConfig::all());
-        let core = HvdbCore::new(cfg, &members, traffic, vec![]);
-        sim.run(&core, SimTime::from_secs(50));
-        sim.trace().render()
-    };
+    let run = |threads: usize| run_par(23, 8, threads).trace().render();
     let one = run(1);
     // Every protocol plane actually emitted: elections, soft-state
     // refresh, and the data path end to end.

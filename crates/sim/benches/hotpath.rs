@@ -10,10 +10,10 @@
 //!   whole-population waypoint step;
 //! * `class_counters` — per-transmission stats accounting: interned
 //!   class-id slots vs the old string-keyed hash maps;
-//! * `commit_pass` — the parallel engine's window-commit splice: shard
-//!   outboxes pre-sorted and pre-folded into per-shard digests then
-//!   spliced as runs + bulk counter applies, vs the legacy serial fold
-//!   (one heap push and one `count_tx` per event).
+//! * `commit_pass` — the parallel engine's window commit: Tx ops
+//!   pre-folded into per-shard digests, then shard outboxes merged by
+//!   dispatch key onto the heap + bulk counter applies, vs the legacy
+//!   serial fold (one heap push and one `count_tx` per event).
 //!
 //! Run with `cargo bench -p hvdb-sim`.
 
@@ -25,6 +25,8 @@ use hvdb_sim::{
     SimRng, SimTime, Simulator, Stats, World,
 };
 use rustc_hash::FxHashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 const NODES: usize = 600;
 
@@ -176,7 +178,8 @@ fn bench_class_counters(c: &mut Criterion) {
 /// One window's worth of drained shard state, shaped like the parallel
 /// engine's commit input: per shard, timer events stamped inside the
 /// lookahead window (timestamps arrive roughly — not exactly — in order,
-/// as handlers emit at `now + jitter`) plus one Tx record per event from
+/// as handlers emit at `now + jitter`) in ascending dispatch-key order
+/// (keys interleave across shards), plus one Tx record per event from
 /// the protocol class mix.
 type ShardFixture = (Vec<(SimTime, u64)>, Vec<(u32, &'static str, u64)>);
 
@@ -187,7 +190,7 @@ fn commit_fixture(shards: usize, per_shard: usize) -> Vec<ShardFixture> {
             let events: Vec<(SimTime, u64)> = (0..per_shard)
                 .map(|i| {
                     let t = SimTime(1_000_000 + rng.range_u64(0, 50_000));
-                    (t, (s * per_shard + i) as u64)
+                    (t, (i * shards + s) as u64)
                 })
                 .collect();
             let txs: Vec<(u32, &'static str, u64)> = (0..per_shard)
@@ -207,31 +210,33 @@ fn bench_commit_pass(c: &mut Criterion) {
     let fixture = commit_fixture(SHARDS, PER_SHARD);
     let mut group = c.benchmark_group("commit_pass");
 
-    // The production pass: each shard's outbox is time-sorted and its Tx
-    // ops folded into a digest (first-appearance class list + dense node
-    // deltas) on the worker lanes; the serial splice then costs one
-    // `push_run` and a handful of bulk counter applies per shard.
-    group.bench_function("prefold_splice", |b| {
+    // The production pass: each shard's Tx ops are folded into a digest
+    // (first-appearance class list + dense node deltas) on the worker
+    // lanes; the serial commit then merges the shard outboxes by dispatch
+    // key (the tag here) onto the heap and applies a handful of bulk
+    // counter updates per shard.
+    group.bench_function("prefold_merge", |b| {
         // Shard-retained scratch, reused across windows like the real
         // `Shard` fields.
+        let mut outboxes: Vec<Vec<Scheduled<u64>>> = vec![Vec::new(); SHARDS];
+        let mut heads: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
         let mut classes: Vec<(&'static str, u64, u64)> = Vec::new();
         let mut node_delta = vec![(0u64, 0u64); NODES];
         let mut touched: Vec<u32> = Vec::new();
         b.iter(|| {
             let mut queue: EventQueue<u64> = EventQueue::new();
             let mut stats = Stats::new(NODES);
-            for (events, txs) in &fixture {
-                // Pre-fold (runs on a rayon lane in the engine).
-                let mut run: Vec<Scheduled<u64>> = queue.take_spare();
-                run.extend(events.iter().map(|&(time, tag)| Scheduled {
+            for ((events, txs), outbox) in fixture.iter().zip(outboxes.iter_mut()) {
+                // Handlers buffer events (reversed for the merge), and
+                // the pre-fold runs on a rayon lane in the engine.
+                outbox.extend(events.iter().rev().map(|&(time, tag)| Scheduled {
                     time,
-                    seq: 0,
+                    seq: tag,
                     kind: EventKind::Timer {
                         node: NodeId((tag % NODES as u64) as u32),
                         tag,
                     },
                 }));
-                run.sort_by_key(|s| s.time);
                 classes.clear();
                 touched.clear();
                 for &(node, class, bytes) in txs {
@@ -252,14 +257,25 @@ fn bench_commit_pass(c: &mut Criterion) {
                     d.0 += 1;
                     d.1 += bytes;
                 }
-                // Serial splice.
-                queue.push_run(run);
                 for &(class, msgs, bytes) in &classes {
                     stats.count_tx_class_bulk(class, msgs, bytes);
                 }
                 for &node in &touched {
                     let d = std::mem::take(&mut node_delta[node as usize]);
                     stats.count_tx_node_bulk(NodeId(node), d.0, d.1);
+                }
+            }
+            // Serial merge by dispatch key onto the heap.
+            for (i, outbox) in outboxes.iter().enumerate() {
+                if let Some(last) = outbox.last() {
+                    heads.push(Reverse((last.seq, i)));
+                }
+            }
+            while let Some(Reverse((_, i))) = heads.pop() {
+                let ev = outboxes[i].pop().expect("merge head vanished");
+                queue.push(ev.time, ev.kind);
+                if let Some(next) = outboxes[i].last() {
+                    heads.push(Reverse((next.seq, i)));
                 }
             }
             while let Some(ev) = queue.pop() {
@@ -269,7 +285,7 @@ fn bench_commit_pass(c: &mut Criterion) {
         })
     });
 
-    // The pre-splice fold: the serial barrier walks every shard's outbox
+    // The pre-digest fold: the serial barrier walks every shard's outbox
     // one event at a time — one seq stamp + heap push per event, one
     // interning `count_tx` per transmission.
     group.bench_function("legacy_serial_fold", |b| {

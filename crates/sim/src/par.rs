@@ -3,8 +3,8 @@
 //! [`ParSimulator`] partitions nodes into `K` shards by spatial-index cell
 //! ([`World::cell_of`]) and dispatches same-window events shard-parallel on
 //! the vendored rayon pool, while keeping every statistic a pure function
-//! of `(SimConfig, shards, protocol)` — **independent of the thread
-//! count**. The construction:
+//! of `(SimConfig, protocol)` — **independent of the thread and shard
+//! counts**. The construction:
 //!
 //! * **Lookahead windows.** The radio's propagation latency is a strict
 //!   lower bound on send→arrival (`arrival = tx_end + latency + jitter`,
@@ -16,14 +16,16 @@
 //!   nodes' protocol state, radio busy-until and RNG stream, and only
 //!   *reads* the frozen [`World`]. Sends and stat records append to
 //!   shard-local buffers.
-//! * **Deterministic commit.** After a window drains, buffers are folded
-//!   into the global event queue and [`Stats`] in **shard-index order**:
-//!   outbound events get their tie-breaking `seq` from that fixed
-//!   schedule, order-sensitive stat ops (class interning, origins,
-//!   deliveries) replay in the same order, and commutative counters are
-//!   summed. Thread lanes only decide *which OS thread* drains a shard,
-//!   never the commit order, so `threads = N` is byte-identical to
-//!   `threads = 1` by construction.
+//! * **Deterministic commit.** Every buffered record carries the
+//!   dispatch key of the handler call that made it: the rank of the
+//!   routed event in the window's `(time, seq)` order, then the handling
+//!   node's id. After a window drains, the shards' buffers are merged by
+//!   that key into the global event queue and [`Stats`]: outbound events
+//!   get their tie-breaking `seq` in key order, order-sensitive stat ops
+//!   (class interning, origins, deliveries) replay in it, and
+//!   commutative counters are summed. Key order is the order one shard
+//!   draining the whole window would produce, so neither the thread
+//!   count nor the shard count changes a result.
 //! * **Per-node RNG.** Every node draws from its own SplitMix64 stream
 //!   ([`hvdb_traffic::Rng64`]) derived from the master seed — the pattern
 //!   the traffic plane already uses per flow — so event outcomes never
@@ -59,6 +61,8 @@ use crate::world::World;
 use hvdb_geo::{Aabb, Point, Vec2};
 use hvdb_traffic::{flow_seed, Rng64, FLOW_NONE};
 use rustc_hash::FxHashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Salt mixed into the master seed for per-node streams, so node streams
@@ -76,7 +80,8 @@ const SLICE_CAP: usize = 262_144;
 /// export as Chrome trace-event (Perfetto) complete events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSlice {
-    /// Phase name: `"drain"`, `"commit"`, `"barrier"` or `"lane"`.
+    /// Phase name: `"collect"`, `"drain"`, `"commit"`, `"barrier"` or
+    /// `"lane"`.
     pub phase: &'static str,
     /// Lane index for `"lane"` slices; `u32::MAX` for engine-wide phases.
     pub lane: u32,
@@ -87,16 +92,20 @@ pub struct PhaseSlice {
 }
 
 /// Wall-clock engine profile of a [`ParSimulator`]: per-window phase
-/// aggregates (parallel drain / serial commit / serial barrier) and
-/// per-lane busy time. **Non-deterministic by nature** — wall-clock
-/// readings vary run to run — so it must never feed golden or trajectory
-/// comparisons; it ships in reports as an explicitly excluded block.
+/// aggregates (serial collect / parallel drain / serial commit / serial
+/// barrier) and per-lane busy time. **Non-deterministic by nature** —
+/// wall-clock readings vary run to run — so it must never feed golden or
+/// trajectory comparisons; it ships in reports as an explicitly excluded
+/// block.
 #[derive(Debug, Clone, Default)]
 pub struct EngineProfile {
     /// Lookahead windows committed (parallel drain + ordered commit).
     pub windows: u64,
     /// Serial barrier events processed (faults, mobility ticks).
     pub barriers: u64,
+    /// Total wall-clock seconds in the serial window collection (queue
+    /// pops and routing events to shard task lists).
+    pub collect_secs: f64,
     /// Total wall-clock seconds in the parallel drain phase.
     pub drain_secs: f64,
     /// Total wall-clock seconds in the serial ordered commit.
@@ -244,7 +253,7 @@ impl Counters {
 
 /// Order-sensitive statistics operations, recorded shard-locally during
 /// the parallel phase and replayed against the global [`Stats`] in
-/// shard-index order at commit (class-slot interning order, origin
+/// dispatch-key order at commit (class-slot interning order, origin
 /// registration and flow accounting all depend on replay order).
 #[derive(Debug, Clone)]
 enum StatOp {
@@ -268,6 +277,26 @@ enum StatOp {
     },
 }
 
+/// The dispatch key of one handler invocation: the window rank of the
+/// routed event that triggered it (0 for start-up and serial-phase
+/// callbacks) above the handling node's id. Every record a handler
+/// buffers carries its key, and the commit orders all shards' records by
+/// it — the order a single shard would have produced — so the shard
+/// count never shows in the queue's tie-breaks or in the statistics.
+fn dispatch_key(rank: u32, node: NodeId) -> u64 {
+    (u64::from(rank) << 32) | u64::from(node.0)
+}
+
+/// The read-only inputs of every shard callback during a window.
+#[derive(Clone, Copy)]
+struct Env<'a> {
+    world: &'a World,
+    radio: &'a RadioConfig,
+    per_receiver: bool,
+    /// Node index -> (shard index, slot index within shard).
+    map: &'a [(u32, u32)],
+}
+
 /// One window's work item, routed to the target node's shard.
 #[derive(Debug)]
 enum Task<M> {
@@ -281,11 +310,13 @@ enum Task<M> {
         msg: M,
     },
     /// The slice of a shared-payload broadcast whose receivers live in
-    /// this shard (ascending id order preserved from the sender).
+    /// this shard: `recv_ids[start..start + len]`, ascending id order
+    /// preserved from the sender.
     DeliverSlice {
         at: SimTime,
         from: NodeId,
-        receivers: Vec<NodeId>,
+        start: u32,
+        len: u32,
         msg: M,
     },
     Timer {
@@ -306,19 +337,28 @@ struct ParSlot<N> {
 struct Shard<N, M> {
     /// Slots in ascending node-id order.
     slots: Vec<ParSlot<N>>,
-    tasks: Vec<Task<M>>,
-    /// Outbound events, appended in dispatch order with a placeholder
-    /// `seq` of 0; [`Shard::prefold`] time-sorts them (stably, so
-    /// same-instant events keep dispatch order) and the commit splice
-    /// stamps the real consecutive sequence numbers.
+    /// This window's work, each task paired with the window rank of the
+    /// routed event it came from.
+    tasks: Vec<(u32, Task<M>)>,
+    /// This window's broadcast receivers, one contiguous run per
+    /// [`Task::DeliverSlice`]; appended by routing, cleared after drain.
+    recv_ids: Vec<NodeId>,
+    /// Start in `recv_ids` of the slice the broadcast being routed is
+    /// filling, `None` between broadcasts.
+    open_slice: Option<u32>,
+    /// Outbound events in dispatch order. Until the commit pushes them
+    /// (the queue stamps the real sequence numbers), `seq` holds the
+    /// [`dispatch_key`] of the handler that emitted the event.
     outbox: Vec<Scheduled<M>>,
-    ops: Vec<StatOp>,
+    /// Stat ops in dispatch order, each with its dispatch key.
+    ops: Vec<(u64, StatOp)>,
     counters: Counters,
     /// Pre-fold digest of this window's `Tx` ops: per-class
-    /// `(class, msgs, bytes)` totals in first-appearance order — applied
-    /// at commit via [`Stats::count_tx_class_bulk`], which preserves the
-    /// interning order a one-by-one replay would produce.
-    tx_classes: Vec<(&'static str, u64, u64)>,
+    /// `(first key, class, msgs, bytes)` totals in first-appearance order
+    /// — applied at commit via [`Stats::count_tx_class_bulk`] in key
+    /// order, which preserves the interning order a one-by-one replay
+    /// would produce.
+    tx_classes: Vec<(u64, &'static str, u64, u64)>,
     /// Per-slot `(msgs, bytes)` transmission deltas (dense, indexed by
     /// slot; commutative sums).
     tx_node_delta: Vec<(u64, u64)>,
@@ -328,9 +368,12 @@ struct Shard<N, M> {
     /// their state (origins/flows/latency) is disjoint from the `Tx`
     /// digest's (class slots/node counters), so folding `Tx` out of line
     /// is invisible.
-    rare_ops: Vec<StatOp>,
+    rare_ops: Vec<(u64, StatOp)>,
     scratch: Vec<NodeId>,
     raw_scratch: Vec<u32>,
+    /// Spare broadcast receiver lists. A node's broadcast takes one from
+    /// its own shard's pool and routing hands it back to the same pool,
+    /// so the pool holds at most the shard's peak in-flight broadcasts.
     recv_pool: Vec<Vec<NodeId>>,
     /// Active trace-category mask, mirrored from the engine's [`Trace`]
     /// at the start of every `run` call (0 = tracing off).
@@ -345,6 +388,8 @@ impl<N, M> Shard<N, M> {
         Shard {
             slots: Vec::new(),
             tasks: Vec::new(),
+            recv_ids: Vec::new(),
+            open_slice: None,
             outbox: Vec::new(),
             ops: Vec::new(),
             counters: Counters::default(),
@@ -360,19 +405,17 @@ impl<N, M> Shard<N, M> {
         }
     }
 
-    /// The shard-parallel half of the commit: time-sorts the outbox
-    /// (stable — dispatch order is the tie-break the serial fold used)
-    /// and folds this window's `Tx` ops into the per-class /
-    /// per-node digest, leaving only the rare order-sensitive ops for
-    /// the serial splice. Runs on the rayon lanes at the end of
-    /// [`Shard::drain`]; idempotent when nothing new was buffered, so
-    /// the serial barrier path can rely on commit calling it again.
+    /// The shard-parallel half of the commit: folds this window's `Tx`
+    /// ops into the per-class / per-node digest, leaving only the rare
+    /// order-sensitive ops for the serial commit. Runs on the rayon
+    /// lanes at the end of [`Shard::drain`]; idempotent when nothing new
+    /// was buffered, so the serial barrier path can rely on commit
+    /// calling it again.
     fn prefold(&mut self, map: &[(u32, u32)]) {
-        self.outbox.sort_by_key(|s| s.time);
         if self.tx_node_delta.len() < self.slots.len() {
             self.tx_node_delta.resize(self.slots.len(), (0, 0));
         }
-        for op in self.ops.drain(..) {
+        for (key, op) in self.ops.drain(..) {
             match op {
                 StatOp::Tx { node, class, bytes } => {
                     // Identity key (address, length), matching
@@ -381,13 +424,13 @@ impl<N, M> Shard<N, M> {
                     match self
                         .tx_classes
                         .iter_mut()
-                        .find(|(c, _, _)| c.as_ptr() == class.as_ptr() && c.len() == class.len())
+                        .find(|(_, c, _, _)| c.as_ptr() == class.as_ptr() && c.len() == class.len())
                     {
-                        Some((_, m, b)) => {
+                        Some((_, _, m, b)) => {
                             *m += 1;
                             *b += bytes as u64;
                         }
-                        None => self.tx_classes.push((class, 1, bytes as u64)),
+                        None => self.tx_classes.push((key, class, 1, bytes as u64)),
                     }
                     let slot = map[node.idx()].1 as usize;
                     let d = &mut self.tx_node_delta[slot];
@@ -397,21 +440,21 @@ impl<N, M> Shard<N, M> {
                     d.0 += 1;
                     d.1 += bytes as u64;
                 }
-                other => self.rare_ops.push(other),
+                other => self.rare_ops.push((key, other)),
             }
         }
     }
 }
 
 impl<N: Send, M: Clone + Send> Shard<N, M> {
-    /// Runs `f` on slot `idx` with a [`ParCtx`] over this shard's buffers.
+    /// Runs `f` on slot `idx` with a [`ParCtx`] over this shard's
+    /// buffers, on behalf of the event of window rank `rank`.
     fn with_slot<R>(
         &mut self,
         idx: usize,
+        rank: u32,
         at: SimTime,
-        world: &World,
-        radio: &RadioConfig,
-        per_receiver: bool,
+        env: Env<'_>,
         f: impl FnOnce(NodeId, &mut N, &mut ParCtx<'_, M>) -> R,
     ) -> R {
         let ParSlot {
@@ -423,9 +466,10 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
         let mut ctx = ParCtx {
             now: at,
             current: *id,
-            world,
-            radio,
-            per_receiver,
+            key: dispatch_key(rank, *id),
+            world: env.world,
+            radio: env.radio,
+            per_receiver: env.per_receiver,
             busy_until,
             rng,
             outbox: &mut self.outbox,
@@ -443,29 +487,22 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
     fn run_task<P: ParProtocol<Msg = M, Node = N>>(
         &mut self,
         proto: &P,
+        rank: u32,
         task: Task<M>,
-        world: &World,
-        radio: &RadioConfig,
-        per_receiver: bool,
-        map: &[(u32, u32)],
+        env: Env<'_>,
     ) {
+        let world = env.world;
+        let slot = |node: NodeId| env.map[node.idx()].1 as usize;
         match task {
             Task::Start { node } => {
-                let i = map[node.idx()].1 as usize;
-                self.with_slot(
-                    i,
-                    SimTime::ZERO,
-                    world,
-                    radio,
-                    per_receiver,
-                    |id, n, ctx| proto.on_start(id, n, ctx),
-                );
+                self.with_slot(slot(node), rank, SimTime::ZERO, env, |id, n, ctx| {
+                    proto.on_start(id, n, ctx)
+                });
             }
             Task::Deliver { at, to, from, msg } => {
                 self.counters.events_processed += 1;
                 if world.alive(to) {
-                    let i = map[to.idx()].1 as usize;
-                    self.with_slot(i, at, world, radio, per_receiver, |id, n, ctx| {
+                    self.with_slot(slot(to), rank, at, env, |id, n, ctx| {
                         proto.on_message(id, n, from, msg, ctx)
                     });
                 } else {
@@ -475,14 +512,16 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
             Task::DeliverSlice {
                 at,
                 from,
-                mut receivers,
+                start,
+                len,
                 msg,
             } => {
                 // Mirror of the serial `DeliverMany` dispatch: clone for
                 // all but the last receiver, which takes the payload.
                 let mut payload = Some(msg);
-                let last = receivers.len().saturating_sub(1);
-                for (i, &node) in receivers.iter().enumerate() {
+                let last = len.saturating_sub(1);
+                for i in 0..len {
+                    let node = self.recv_ids[(start + i) as usize];
                     self.counters.events_processed += 1;
                     if !world.alive(node) {
                         self.counters.drops_dead += 1;
@@ -497,19 +536,15 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
                             .expect("payload taken before last receiver")
                             .clone()
                     };
-                    let si = map[node.idx()].1 as usize;
-                    self.with_slot(si, at, world, radio, per_receiver, |id, n, ctx| {
+                    self.with_slot(slot(node), rank, at, env, |id, n, ctx| {
                         proto.on_message(id, n, from, m, ctx)
                     });
                 }
-                receivers.clear();
-                self.recv_pool.push(receivers);
             }
             Task::Timer { at, node, tag } => {
                 self.counters.events_processed += 1;
                 if world.alive(node) {
-                    let i = map[node.idx()].1 as usize;
-                    self.with_slot(i, at, world, radio, per_receiver, |id, n, ctx| {
+                    self.with_slot(slot(node), rank, at, env, |id, n, ctx| {
                         proto.on_timer(id, n, tag, ctx)
                     });
                 }
@@ -517,23 +552,17 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
         }
     }
 
-    fn drain<P: ParProtocol<Msg = M, Node = N>>(
-        &mut self,
-        proto: &P,
-        world: &World,
-        radio: &RadioConfig,
-        per_receiver: bool,
-        map: &[(u32, u32)],
-    ) {
+    fn drain<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P, env: Env<'_>) {
         let mut tasks = std::mem::take(&mut self.tasks);
-        for task in tasks.drain(..) {
-            self.run_task(proto, task, world, radio, per_receiver, map);
+        for (rank, task) in tasks.drain(..) {
+            self.run_task(proto, rank, task, env);
         }
-        // Hand the (now empty) buffer back for the next window.
+        // Hand the (now empty) buffers back for the next window.
         self.tasks = tasks;
+        self.recv_ids.clear();
         // Pre-fold this window's output while still on the parallel
-        // lane, so the serial splice only stitches digests together.
-        self.prefold(map);
+        // lane, so the serial commit only stitches digests together.
+        self.prefold(env.map);
     }
 }
 
@@ -545,13 +574,16 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
 pub struct ParCtx<'a, M> {
     now: SimTime,
     current: NodeId,
+    /// [`dispatch_key`] of this callback, stamped on every buffered
+    /// record.
+    key: u64,
     world: &'a World,
     radio: &'a RadioConfig,
     per_receiver: bool,
     busy_until: &'a mut SimTime,
     rng: &'a mut Rng64,
     outbox: &'a mut Vec<Scheduled<M>>,
-    ops: &'a mut Vec<StatOp>,
+    ops: &'a mut Vec<(u64, StatOp)>,
     counters: &'a mut Counters,
     scratch: &'a mut Vec<NodeId>,
     raw_scratch: &'a mut Vec<u32>,
@@ -561,11 +593,22 @@ pub struct ParCtx<'a, M> {
 }
 
 impl<'a, M: Clone> ParCtx<'a, M> {
-    /// Appends an outbound event to the shard's window buffer. The
-    /// placeholder `seq` is stamped by the commit splice.
+    /// Appends an outbound event to the shard's window buffer, keyed for
+    /// the commit's ordering.
     #[inline]
     fn emit(&mut self, time: SimTime, kind: EventKind<M>) {
-        self.outbox.push(Scheduled { time, seq: 0, kind });
+        self.outbox.push(Scheduled {
+            time,
+            seq: self.key,
+            kind,
+        });
+    }
+
+    /// Appends a stat op to the shard's window buffer, keyed for the
+    /// commit's ordering.
+    #[inline]
+    fn record_op(&mut self, op: StatOp) {
+        self.ops.push((self.key, op));
     }
 
     /// Current simulation time (the dispatched event's timestamp) *as
@@ -758,7 +801,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             return false;
         }
         let arrival = self.occupy_radio(bytes);
-        self.ops.push(StatOp::Tx {
+        self.record_op(StatOp::Tx {
             node: from,
             class,
             bytes,
@@ -825,7 +868,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         let attempts = 1 + self.radio.mac_retries;
         for _ in 0..attempts {
             let arrival = self.occupy_radio(bytes);
-            self.ops.push(StatOp::Tx {
+            self.record_op(StatOp::Tx {
                 node: from,
                 class,
                 bytes,
@@ -889,7 +932,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             return 0;
         }
         let arrival = self.occupy_radio(bytes);
-        self.ops.push(StatOp::Tx {
+        self.record_op(StatOp::Tx {
             node: from,
             class,
             bytes,
@@ -953,10 +996,12 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         } else if n > 0 {
             if let Some(delay) = replay {
                 self.counters.byzantine_replayed += n as u64;
+                let mut dup = self.recv_pool.pop().unwrap_or_default();
+                dup.extend_from_slice(&receivers);
                 self.emit(
                     arrival + delay,
                     EventKind::DeliverMany {
-                        to: receivers.clone(),
+                        to: dup,
                         from,
                         msg: msg.clone(),
                     },
@@ -981,7 +1026,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     pub fn record_origin(&mut self, data_id: u64, expected: u64) {
         // No trace: matches the serial engine, where only flow-tagged
         // origins emit [`TraceKind::FlowOrigin`].
-        self.ops.push(StatOp::OriginFlow {
+        self.record_op(StatOp::OriginFlow {
             data_id,
             at: self.now,
             expected,
@@ -993,7 +1038,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     /// Registers an originated data packet carrying sequence number `seq`
     /// of traffic-plane flow `flow`.
     pub fn record_origin_flow(&mut self, data_id: u64, expected: u64, flow: u32, seq: u32) {
-        self.ops.push(StatOp::OriginFlow {
+        self.record_op(StatOp::OriginFlow {
             data_id,
             at: self.now,
             expected,
@@ -1007,7 +1052,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     pub fn record_delivery(&mut self, data_id: u64, node: NodeId) {
         // No trace: matches the serial engine, where only hop-counted
         // deliveries emit [`TraceKind::Delivered`].
-        self.ops.push(StatOp::DeliveryHops {
+        self.record_op(StatOp::DeliveryHops {
             data_id,
             node,
             at: self.now,
@@ -1018,7 +1063,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     /// Records a data-packet delivery at `node` after `hops` physical
     /// transmissions.
     pub fn record_delivery_hops(&mut self, data_id: u64, node: NodeId, hops: u32) {
-        self.ops.push(StatOp::DeliveryHops {
+        self.record_op(StatOp::DeliveryHops {
             data_id,
             node,
             at: self.now,
@@ -1093,6 +1138,34 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     }
 }
 
+/// Drains the buffer `buf` of every shard into `sink`, merged by `key`.
+/// Each buffer must be in non-decreasing key order, and a key may occur
+/// in one shard only; equal keys keep their buffer order. `heads` is
+/// empty scratch, handed back empty.
+fn merge_by_key<S, T>(
+    shards: &mut [S],
+    buf: fn(&mut S) -> &mut Vec<T>,
+    key: fn(&T) -> u64,
+    heads: &mut BinaryHeap<Reverse<(u64, u32)>>,
+    mut sink: impl FnMut(T),
+) {
+    for (i, shard) in shards.iter_mut().enumerate() {
+        let b = buf(shard);
+        // Reversed, so popping from the tail yields key order.
+        b.reverse();
+        if let Some(last) = b.last() {
+            heads.push(Reverse((key(last), i as u32)));
+        }
+    }
+    while let Some(Reverse((_, i))) = heads.pop() {
+        let b = buf(&mut shards[i as usize]);
+        sink(b.pop().expect("merge head vanished"));
+        if let Some(next) = b.last() {
+            heads.push(Reverse((key(next), i)));
+        }
+    }
+}
+
 fn is_barrier<M>(kind: &EventKind<M>) -> bool {
     matches!(kind, EventKind::Fault(_) | EventKind::MobilityTick)
 }
@@ -1118,8 +1191,11 @@ pub struct ParSimulator<N, M> {
     /// Node index -> (shard index, slot index within shard). Fixed at
     /// first run; migrating nodes keep their shard.
     node_map: Vec<(u32, u32)>,
-    /// Per-shard routing buffers for splitting cross-shard broadcasts.
-    route_bufs: Vec<Vec<NodeId>>,
+    /// Shards holding an open receiver slice while one broadcast routes.
+    touched: Vec<u32>,
+    /// Commit scratch: `(key, shard)` heads of the shard buffers being
+    /// merged by [`merge_by_key`].
+    merge_heads: BinaryHeap<Reverse<(u64, u32)>>,
     wall_secs: f64,
     sim_secs: f64,
     /// Deterministic structured protocol trace (off by default).
@@ -1182,7 +1258,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             num_shards: shards,
             shards: Vec::new(),
             node_map: Vec::new(),
-            route_bufs: Vec::new(),
+            touched: Vec::new(),
+            merge_heads: BinaryHeap::new(),
             wall_secs: 0.0,
             sim_secs: 0.0,
             trace: Trace::default(),
@@ -1215,7 +1292,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     }
 
     /// The collected statistics — a pure function of
-    /// `(config, shards, protocol)`, independent of `threads`.
+    /// `(config, protocol)`, independent of `threads` and shards.
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
@@ -1357,51 +1434,55 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 node: proto.make_node(id, &self.world),
             });
         }
-        self.route_bufs = vec![Vec::new(); k];
     }
 
-    /// Routes one popped window event to its target shard's task list.
-    fn route(&mut self, ev: Scheduled<M>) {
+    /// Routes the popped window event of rank `rank` (its position in the
+    /// window's `(time, seq)` order) to its target shards' task lists.
+    fn route(&mut self, ev: Scheduled<M>, rank: u32) {
         let at = ev.time;
         match ev.kind {
             EventKind::Deliver { to, from, msg } => {
                 let s = self.node_map[to.idx()].0 as usize;
                 self.shards[s]
                     .tasks
-                    .push(Task::Deliver { at, to, from, msg });
+                    .push((rank, Task::Deliver { at, to, from, msg }));
             }
-            EventKind::DeliverMany { to, from, msg } => {
-                let first = self.node_map[to[0].idx()].0;
-                if to.iter().all(|n| self.node_map[n.idx()].0 == first) {
-                    // Fast path: every receiver lives in one shard — move
-                    // the list wholesale, no copies.
-                    self.shards[first as usize].tasks.push(Task::DeliverSlice {
+            EventKind::DeliverMany { mut to, from, msg } => {
+                // Split the receivers by shard into the shards' arenas:
+                // one contiguous slice (one task) per touched shard, in
+                // the sender's ascending id order.
+                for &n in &to {
+                    let s = self.node_map[n.idx()].0;
+                    let shard = &mut self.shards[s as usize];
+                    if shard.open_slice.is_none() {
+                        shard.open_slice = Some(shard.recv_ids.len() as u32);
+                        self.touched.push(s);
+                    }
+                    shard.recv_ids.push(n);
+                }
+                for s in self.touched.drain(..) {
+                    let shard = &mut self.shards[s as usize];
+                    let start = shard.open_slice.take().expect("touched shard has a slice");
+                    let len = shard.recv_ids.len() as u32 - start;
+                    let task = Task::DeliverSlice {
                         at,
                         from,
-                        receivers: to,
-                        msg,
-                    });
-                } else {
-                    for &n in &to {
-                        let s = self.node_map[n.idx()].0 as usize;
-                        self.route_bufs[s].push(n);
-                    }
-                    for s in 0..self.shards.len() {
-                        if !self.route_bufs[s].is_empty() {
-                            let receivers = std::mem::take(&mut self.route_bufs[s]);
-                            self.shards[s].tasks.push(Task::DeliverSlice {
-                                at,
-                                from,
-                                receivers,
-                                msg: msg.clone(),
-                            });
-                        }
-                    }
+                        start,
+                        len,
+                        msg: msg.clone(),
+                    };
+                    shard.tasks.push((rank, task));
                 }
+                // The list came from the sender's shard pool; return it.
+                to.clear();
+                let sender = self.node_map[from.idx()].0 as usize;
+                self.shards[sender].recv_pool.push(to);
             }
             EventKind::Timer { node, tag } => {
                 let s = self.node_map[node.idx()].0 as usize;
-                self.shards[s].tasks.push(Task::Timer { at, node, tag });
+                self.shards[s]
+                    .tasks
+                    .push((rank, Task::Timer { at, node, tag }));
             }
             EventKind::Fault(_) | EventKind::MobilityTick => {
                 unreachable!("barrier events are handled serially")
@@ -1414,16 +1495,18 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     /// runs which shard is invisible: shards touch only shard-local state
     /// plus the frozen world.
     fn drain_shards<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P) {
-        let world = &self.world;
-        let radio = &self.cfg.radio;
-        let per_receiver = self.cfg.per_receiver_delivery;
-        let map = self.node_map.as_slice();
+        let env = Env {
+            world: &self.world,
+            radio: &self.cfg.radio,
+            per_receiver: self.cfg.per_receiver_delivery,
+            map: &self.node_map,
+        };
         let lanes = self.threads.min(self.shards.len()).max(1);
         let origin = self.profile_origin.unwrap_or_else(Instant::now);
         if lanes <= 1 {
             let t0 = Instant::now();
             for shard in &mut self.shards {
-                shard.drain(proto, world, radio, per_receiver, map);
+                shard.drain(proto, env);
             }
             let lane_times = [(t0.saturating_duration_since(origin), t0.elapsed())];
             self.fold_lane_times(&lane_times);
@@ -1444,7 +1527,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                     Box::new(move || {
                         let t0 = Instant::now();
                         for shard in group {
-                            shard.drain(proto, world, radio, per_receiver, map);
+                            shard.drain(proto, env);
                         }
                         *slot = (t0.saturating_duration_since(origin), t0.elapsed());
                     }) as Box<dyn FnOnce() + Send + '_>
@@ -1479,6 +1562,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     fn note_phase(&mut self, phase: &'static str, t0: Instant) {
         let dur = t0.elapsed();
         match phase {
+            "collect" => self.profile.collect_secs += dur.as_secs_f64(),
             "drain" => self.profile.drain_secs += dur.as_secs_f64(),
             "commit" => self.profile.commit_secs += dur.as_secs_f64(),
             "barrier" => self.profile.barrier_secs += dur.as_secs_f64(),
@@ -1495,58 +1579,68 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         }
     }
 
-    /// The deterministic ordered commit, serial half: splices every
-    /// shard's pre-folded window output into the global queue and
-    /// statistics in shard-index order. The heavy lifting — time-sorting
-    /// the outbox and aggregating `Tx` ops into per-class/per-node
-    /// digests — already happened shard-parallel in [`Shard::prefold`];
-    /// here each outbox becomes one `O(k)` run splice
-    /// ([`EventQueue::push_run`] stamps the consecutive `seq` numbers the
-    /// old one-by-one fold would have produced), digests apply as plain
-    /// sums (class interning on first touch, preserving replay order),
-    /// and only the rare order-sensitive ops (origins, deliveries)
-    /// replay individually. Run buffers recycle through the queue's
-    /// spare pool, so the steady-state window loop allocates nothing.
+    /// The deterministic ordered commit, serial half: folds every shard's
+    /// pre-folded window output into the global queue and statistics.
+    /// Each shard's events, `Tx` class digests and order-sensitive stat
+    /// ops are in [`dispatch_key`] order; merging them by key yields the
+    /// order a single shard would have produced. Events are pushed onto
+    /// the queue in that order (so same-instant ties dispatch in it),
+    /// class digests intern in it and origins/deliveries replay in it.
+    /// The `Tx` digests were aggregated shard-parallel in
+    /// [`Shard::prefold`]; per-node sums and counters are commutative.
     fn commit(&mut self) {
-        let shards = &mut self.shards;
-        let queue = &mut self.queue;
-        let stats = &mut self.stats;
         let map = self.node_map.as_slice();
-        for shard in shards.iter_mut() {
+        let stats = &mut self.stats;
+        for shard in self.shards.iter_mut() {
             // No-op after drain_shards; covers the serial barrier path,
             // which runs callbacks without a drain.
             shard.prefold(map);
-            let run = std::mem::replace(&mut shard.outbox, queue.take_spare());
-            queue.push_run(run);
-            for &(class, msgs, bytes) in &shard.tx_classes {
-                stats.count_tx_class_bulk(class, msgs, bytes);
-            }
-            shard.tx_classes.clear();
             for &slot in &shard.tx_touched {
                 let (msgs, bytes) = std::mem::take(&mut shard.tx_node_delta[slot as usize]);
                 stats.count_tx_node_bulk(shard.slots[slot as usize].id, msgs, bytes);
             }
             shard.tx_touched.clear();
-            for op in shard.rare_ops.drain(..) {
-                match op {
-                    StatOp::Tx { .. } => unreachable!("Tx ops are pre-folded"),
-                    StatOp::OriginFlow {
-                        data_id,
-                        at,
-                        expected,
-                        flow,
-                        seq,
-                    } => stats.record_origin_flow(data_id, at, expected, flow, seq),
-                    StatOp::DeliveryHops {
-                        data_id,
-                        node,
-                        at,
-                        hops,
-                    } => stats.record_delivery_hops(data_id, node, at, hops),
-                }
-            }
             shard.counters.fold_into(stats);
         }
+        let shards = self.shards.as_mut_slice();
+        let heads = &mut self.merge_heads;
+        let queue = &mut self.queue;
+        merge_by_key(
+            shards,
+            |s| &mut s.outbox,
+            |ev| ev.seq,
+            heads,
+            |ev| queue.push(ev.time, ev.kind),
+        );
+        merge_by_key(
+            shards,
+            |s| &mut s.tx_classes,
+            |c| c.0,
+            heads,
+            |(_, class, msgs, bytes)| stats.count_tx_class_bulk(class, msgs, bytes),
+        );
+        merge_by_key(
+            shards,
+            |s| &mut s.rare_ops,
+            |op| op.0,
+            heads,
+            |(_, op)| match op {
+                StatOp::Tx { .. } => unreachable!("Tx ops are pre-folded"),
+                StatOp::OriginFlow {
+                    data_id,
+                    at,
+                    expected,
+                    flow,
+                    seq,
+                } => stats.record_origin_flow(data_id, at, expected, flow, seq),
+                StatOp::DeliveryHops {
+                    data_id,
+                    node,
+                    at,
+                    hops,
+                } => stats.record_delivery_hops(data_id, node, at, hops),
+            },
+        );
         if self.trace.mask() != 0 {
             // Merge shard trace buffers deterministically: stable sort by
             // (time, node) — a node lives in exactly one shard, so ties
@@ -1562,6 +1656,23 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             }
             self.trace_scratch = merged;
         }
+    }
+
+    /// Runs a serial-phase (fault) callback on `node` at the current
+    /// instant; its output waits in the shard buffers for a commit.
+    fn serial_callback(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(NodeId, &mut N, &mut ParCtx<'_, M>),
+    ) {
+        let (s, i) = self.node_map[node.idx()];
+        let env = Env {
+            world: &self.world,
+            radio: &self.cfg.radio,
+            per_receiver: self.cfg.per_receiver_delivery,
+            map: &self.node_map,
+        };
+        self.shards[s as usize].with_slot(i as usize, 0, self.now, env, f);
     }
 
     /// Processes one barrier event serially with full `&mut World`
@@ -1582,15 +1693,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                     FaultKind::Fail(node) => {
                         self.trace.record(self.now, node, TraceKind::NodeFailed);
                         self.world.set_alive(node, false);
-                        let (s, i) = self.node_map[node.idx()];
-                        self.shards[s as usize].with_slot(
-                            i as usize,
-                            self.now,
-                            &self.world,
-                            &self.cfg.radio,
-                            self.cfg.per_receiver_delivery,
-                            |id, n, ctx| proto.on_fail(id, n, ctx),
-                        );
+                        self.serial_callback(node, |id, n, ctx| proto.on_fail(id, n, ctx));
                         self.commit();
                     }
                     FaultKind::Recover(node) => {
@@ -1598,14 +1701,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                         self.world.set_alive(node, true);
                         let (s, i) = self.node_map[node.idx()];
                         self.shards[s as usize].slots[i as usize].busy_until = self.now;
-                        self.shards[s as usize].with_slot(
-                            i as usize,
-                            self.now,
-                            &self.world,
-                            &self.cfg.radio,
-                            self.cfg.per_receiver_delivery,
-                            |id, n, ctx| proto.on_recover(id, n, ctx),
-                        );
+                        self.serial_callback(node, |id, n, ctx| proto.on_recover(id, n, ctx));
                         self.commit();
                     }
                     FaultKind::Partition(groups) => {
@@ -1640,15 +1736,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                         );
                         for node in victims {
                             self.world.set_alive(node, false);
-                            let (s, i) = self.node_map[node.idx()];
-                            self.shards[s as usize].with_slot(
-                                i as usize,
-                                self.now,
-                                &self.world,
-                                &self.cfg.radio,
-                                self.cfg.per_receiver_delivery,
-                                |id, n, ctx| proto.on_fail(id, n, ctx),
-                            );
+                            self.serial_callback(node, |id, n, ctx| proto.on_fail(id, n, ctx));
                         }
                         self.commit();
                     }
@@ -1713,7 +1801,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             }
             for id in self.world.ids() {
                 let s = self.node_map[id.idx()].0 as usize;
-                self.shards[s].tasks.push(Task::Start { node: id });
+                self.shards[s].tasks.push((0, Task::Start { node: id }));
             }
             let t0 = Instant::now();
             self.drain_shards(proto);
@@ -1740,6 +1828,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             // Collect the lookahead window [head_time, head_time + delta),
             // stopping early at the horizon or the first barrier.
             let window_end = head_time + delta;
+            let t_collect = Instant::now();
+            let mut rank = 0;
             loop {
                 let take = match self.queue.peek() {
                     Some(s) => s.time <= until && s.time < window_end && !is_barrier(&s.kind),
@@ -1750,8 +1840,10 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 }
                 let ev = self.queue.pop().expect("peeked event vanished");
                 self.now = ev.time;
-                self.route(ev);
+                self.route(ev, rank);
+                rank += 1;
             }
+            self.note_phase("collect", t_collect);
             let t0 = Instant::now();
             self.drain_shards(proto);
             self.note_phase("drain", t0);
@@ -1893,9 +1985,12 @@ mod tests {
         }
     }
 
-    fn run_gossip_grid(threads: usize, shards: usize) -> (String, u64) {
+    /// The traced stationary gossip grid: `Debug` stats, rendered trace
+    /// and the total number of receptions.
+    fn run_gossip_grid(threads: usize, shards: usize) -> (String, String, u64) {
         let mut sim: ParSimulator<GossipNode, GossipMsg> =
             ParSimulator::new(grid_cfg(6, 7), Box::new(Stationary), shards, threads);
+        sim.set_trace(TraceConfig::all());
         place_grid(&mut sim, 6);
         sim.run(&Gossip { ttl: 3 }, SimTime::from_secs(3));
         let heard: u64 = sim
@@ -1903,7 +1998,7 @@ mod tests {
             .ids()
             .map(|id| sim.node_state(id).unwrap().heard as u64)
             .sum();
-        (format!("{:?}", sim.stats()), heard)
+        (format!("{:?}", sim.stats()), sim.trace().render(), heard)
     }
 
     #[test]
@@ -1911,25 +2006,79 @@ mod tests {
         // The tentpole proof obligation: threads=8 output is byte-identical
         // to threads=1 (same shard count), and so is every lane count in
         // between.
-        let (s1, h1) = run_gossip_grid(1, 16);
-        let (s2, h2) = run_gossip_grid(2, 16);
-        let (s4, h4) = run_gossip_grid(4, 16);
-        let (s8, h8) = run_gossip_grid(8, 16);
-        assert!(h1 > 0, "gossip must actually flow");
-        assert_eq!(h1, h2);
-        assert_eq!(h1, h4);
-        assert_eq!(h1, h8);
-        assert_eq!(s1, s2, "threads=2 diverged from threads=1");
-        assert_eq!(s1, s4, "threads=4 diverged from threads=1");
-        assert_eq!(s1, s8, "threads=8 diverged from threads=1");
+        let one = run_gossip_grid(1, 16);
+        assert!(one.2 > 0, "gossip must actually flow");
+        for threads in [2, 4, 8] {
+            assert_eq!(
+                one,
+                run_gossip_grid(threads, 16),
+                "threads={threads} diverged from threads=1"
+            );
+        }
+    }
+
+    #[test]
+    fn shard_count_is_invisible() {
+        // Shards, like threads, are a performance knob: stats and trace
+        // are byte-identical at every shard count, with and without cell
+        // migration and under every fault kind.
+        let grid = run_gossip_grid(1, 1);
+        let (wp_stats, wp_trace, moved) = run_waypoint_gossip(1, 1);
+        let faulted = run_faulted_gossip(1, 1);
+        assert!(grid.2 > 0, "gossip must actually flow");
+        assert!(moved, "waypoint mobility must move nodes across cells");
+        for shards in [2, 8, 64] {
+            assert_eq!(
+                grid,
+                run_gossip_grid(1, shards),
+                "stationary gossip diverged at shards={shards}"
+            );
+            let (s, t, _) = run_waypoint_gossip(1, shards);
+            assert_eq!(wp_stats, s, "waypoint stats diverged at shards={shards}");
+            assert_eq!(wp_trace, t, "waypoint trace diverged at shards={shards}");
+            assert_eq!(
+                faulted,
+                run_faulted_gossip(1, shards),
+                "faulted gossip diverged at shards={shards}"
+            );
+        }
+    }
+
+    #[test]
+    fn receiver_arena_stays_bounded() {
+        // Broadcast receiver lists return to their sender's shard pool
+        // once routed, so the pools hold at most the lists ever in flight
+        // at once (here one broadcast per node) — not one list per
+        // cross-shard slice ever dispatched, which grew with run length.
+        let mut sim: ParSimulator<GossipNode, GossipMsg> =
+            ParSimulator::new(grid_cfg(6, 7), Box::new(Stationary), 16, 1);
+        place_grid(&mut sim, 6);
+        let pooled = |sim: &ParSimulator<GossipNode, GossipMsg>| -> usize {
+            sim.shards.iter().map(|s| s.recv_pool.len()).sum()
+        };
+        sim.run(&Gossip { ttl: 0 }, SimTime::from_secs(30));
+        let early = pooled(&sim);
+        sim.run(&Gossip { ttl: 0 }, SimTime::from_secs(60));
+        assert!(sim.profile().windows > 5_000, "run must span many windows");
+        assert!(
+            sim.shards.iter().all(|s| s.recv_ids.is_empty()),
+            "receiver arenas must be empty between windows"
+        );
+        assert!(
+            pooled(&sim) <= sim.world().len(),
+            "{} pooled receiver lists for {} nodes",
+            pooled(&sim),
+            sim.world().len()
+        );
+        assert_eq!(early, pooled(&sim), "the receiver pools kept growing");
     }
 
     /// The full fault-plane schedule: every [`FaultKind`] fires mid-run,
     /// with the partition+heal pair straddling many lookahead windows
     /// (odd microsecond timestamps, nowhere near window boundaries).
-    fn run_faulted_gossip(threads: usize) -> (String, String) {
+    fn run_faulted_gossip(threads: usize, shards: usize) -> (String, String) {
         let mut sim: ParSimulator<GossipNode, GossipMsg> =
-            ParSimulator::new(grid_cfg(6, 13), Box::new(Stationary), 16, threads);
+            ParSimulator::new(grid_cfg(6, 13), Box::new(Stationary), shards, threads);
         sim.set_trace(TraceConfig::all());
         place_grid(&mut sim, 6);
         let left: Vec<NodeId> = (0..18).map(NodeId).collect();
@@ -1984,10 +2133,10 @@ mod tests {
         // Byzantine modes, clock and position error, fail/recover — with
         // stats AND the rendered structured trace byte-identical at
         // threads 1, 2, 4 and 8.
-        let (s1, t1) = run_faulted_gossip(1);
-        let (s2, t2) = run_faulted_gossip(2);
-        let (s4, t4) = run_faulted_gossip(4);
-        let (s8, t8) = run_faulted_gossip(8);
+        let (s1, t1) = run_faulted_gossip(1, 16);
+        let (s2, t2) = run_faulted_gossip(2, 16);
+        let (s4, t4) = run_faulted_gossip(4, 16);
+        let (s8, t8) = run_faulted_gossip(8, 16);
         assert_eq!(s1, s2, "threads=2 diverged under fault injection");
         assert_eq!(s1, s4, "threads=4 diverged under fault injection");
         assert_eq!(s1, s8, "threads=8 diverged under fault injection");
@@ -2008,17 +2157,16 @@ mod tests {
         place_grid(&mut traced, 6);
         traced.run(&Gossip { ttl: 3 }, SimTime::from_secs(3));
         assert!(!traced.trace().is_empty(), "traced run must record events");
-        let (untraced_stats, _) = run_gossip_grid(2, 16);
-        assert_eq!(
-            format!("{:?}", traced.stats()),
-            untraced_stats,
-            "tracing changed simulation outcomes"
-        );
         let mut off: ParSimulator<GossipNode, GossipMsg> =
             ParSimulator::new(grid_cfg(6, 7), Box::new(Stationary), 16, 2);
         place_grid(&mut off, 6);
         off.run(&Gossip { ttl: 3 }, SimTime::from_secs(3));
         assert!(off.trace().is_empty(), "untraced run must record nothing");
+        assert_eq!(
+            format!("{:?}", traced.stats()),
+            format!("{:?}", off.stats()),
+            "tracing changed simulation outcomes"
+        );
     }
 
     #[test]
@@ -2030,51 +2178,63 @@ mod tests {
         sim.run(&Gossip { ttl: 3 }, SimTime::from_secs(3));
         let p = sim.profile();
         assert!(p.windows > 0, "windows must have been committed");
+        assert!(p.collect_secs > 0.0, "window collection must be timed");
         assert!(p.drain_secs >= 0.0 && p.commit_secs >= 0.0);
+        let phases = p.collect_secs + p.drain_secs + p.commit_secs + p.barrier_secs;
+        assert!(
+            phases <= sim.wall_secs(),
+            "phases sum to {phases}s, more than the run's {}s",
+            sim.wall_secs()
+        );
         assert!(
             !p.lane_busy_secs.is_empty(),
             "lane busy time must be recorded"
         );
         assert!(p.lane_imbalance() >= 1.0);
         assert!(
-            p.slices.iter().any(|s| s.phase == "drain")
-                && p.slices.iter().any(|s| s.phase == "commit")
-                && p.slices.iter().any(|s| s.phase == "lane"),
-            "detailed slices must cover drain/commit/lane phases"
+            ["collect", "drain", "commit", "lane"]
+                .iter()
+                .all(|phase| p.slices.iter().any(|s| s.phase == *phase)),
+            "detailed slices must cover collect/drain/commit/lane phases"
         );
+    }
+
+    /// Traced gossip under random waypoint, where nodes cross cells
+    /// mid-run: `Debug` stats, rendered trace, and whether any node
+    /// changed cell.
+    fn run_waypoint_gossip(threads: usize, shards: usize) -> (String, String, bool) {
+        let mut cfg = grid_cfg(6, 11);
+        cfg.mobility_tick = SimDuration::from_secs(1);
+        let mut sim: ParSimulator<GossipNode, GossipMsg> = ParSimulator::new(
+            cfg,
+            Box::new(RandomWaypoint::new(20.0, 60.0, 0.2)),
+            shards,
+            threads,
+        );
+        sim.set_trace(TraceConfig::all());
+        let cells = |sim: &ParSimulator<GossipNode, GossipMsg>| -> Vec<(i32, i32)> {
+            sim.world()
+                .ids()
+                .map(|id| sim.world().cell_of(id))
+                .collect()
+        };
+        let before = cells(&sim);
+        sim.run(&Gossip { ttl: 2 }, SimTime::from_secs(8));
+        let moved = before != cells(&sim);
+        (format!("{:?}", sim.stats()), sim.trace().render(), moved)
     }
 
     #[test]
     fn mobility_migration_keeps_determinism() {
         // Nodes cross cells mid-run under random waypoint; migrating
         // nodes keep their shard, and thread count stays invisible.
-        let run = |threads: usize| {
-            let mut cfg = grid_cfg(6, 11);
-            cfg.mobility_tick = SimDuration::from_secs(1);
-            let mut sim: ParSimulator<GossipNode, GossipMsg> = ParSimulator::new(
-                cfg,
-                Box::new(RandomWaypoint::new(20.0, 60.0, 0.2)),
-                8,
-                threads,
-            );
-            let before: Vec<(i32, i32)> = sim
-                .world()
-                .ids()
-                .map(|id| sim.world().cell_of(id))
-                .collect();
-            sim.run(&Gossip { ttl: 2 }, SimTime::from_secs(8));
-            let after: Vec<(i32, i32)> = sim
-                .world()
-                .ids()
-                .map(|id| sim.world().cell_of(id))
-                .collect();
-            (format!("{:?}", sim.stats()), before != after)
-        };
-        let (s1, moved1) = run(1);
-        let (s4, moved4) = run(4);
-        assert!(moved1, "waypoint mobility must move nodes across cells");
-        assert!(moved4);
-        assert_eq!(s1, s4, "mid-run cell migration broke thread invariance");
+        let one = run_waypoint_gossip(1, 8);
+        assert!(one.2, "waypoint mobility must move nodes across cells");
+        assert_eq!(
+            one,
+            run_waypoint_gossip(4, 8),
+            "mid-run cell migration broke thread invariance"
+        );
     }
 
     /// One unicast from node 0 to node 1 at start; jitter and loss

@@ -204,8 +204,8 @@ impl Stats {
     /// transmissions totalling `bytes` in `class`, interning the class on
     /// first use exactly like an equivalent [`Stats::count_tx`] sequence
     /// would (so digest application preserves the class-slot order of a
-    /// one-by-one replay). The parallel engine's commit splice uses this
-    /// with each shard's digest, shards in shard-index order.
+    /// one-by-one replay). The parallel engine's commit uses this
+    /// with the shards' digests, merged in dispatch-key order.
     pub fn count_tx_class_bulk(&mut self, class: &'static str, msgs: u64, bytes: u64) {
         let id = self.class_id(class);
         let slot = &mut self.class_slots[id.0 as usize];
