@@ -574,6 +574,17 @@ fn explain(args: &[String]) -> ExitCode {
                 println!("  {key}={v}");
             }
         }
+        // How thin a window is: its events, and the shards they touch
+        // (each active shard is one claim on the lane crew).
+        if let Some(windows) = pget("windows").filter(|w| *w > 0.0) {
+            let per_window =
+                |key| pget(key).map_or("n/a".to_string(), |v| format!("{:.1}", v / windows));
+            println!(
+                "  events/window={} active_shards/window={}",
+                per_window("events"),
+                per_window("active_shards")
+            );
+        }
         if let Some((_, Json::Arr(lanes))) = pf.iter().find(|(k, _)| k == "lane_busy_secs") {
             println!("  lanes={}", lanes.len());
         }

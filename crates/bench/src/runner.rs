@@ -519,12 +519,18 @@ pub fn timeline_json(
 
 /// Serializes an [`EngineProfile`] as the report's `profile` block —
 /// phase aggregates and lane busy times only (per-occurrence slices stay
-/// in the Chrome trace export). Wall-clock derived and therefore
+/// in the Chrome trace export), plus the run's `events` so a reader can
+/// relate them to the window count. Wall-clock derived and therefore
 /// non-deterministic: `validate` accepts it structurally, golden and
 /// trajectory comparisons never read it.
-pub fn profile_json(profile: &EngineProfile) -> Json {
+pub fn profile_json(profile: &EngineProfile, events: u64) -> Json {
     Json::Obj(vec![
         ("windows".into(), Json::Num(profile.windows as f64)),
+        ("events".into(), Json::Num(events as f64)),
+        (
+            "active_shards".into(),
+            Json::Num(profile.active_shards as f64),
+        ),
         ("barriers".into(), Json::Num(profile.barriers as f64)),
         ("collect_secs".into(), Json::Num(profile.collect_secs)),
         ("drain_secs".into(), Json::Num(profile.drain_secs)),

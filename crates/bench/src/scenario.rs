@@ -1399,7 +1399,10 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
                         ],
                         &samples,
                     ));
-                    profile = detail.engine_profile.as_ref().map(profile_json);
+                    profile = detail
+                        .engine_profile
+                        .as_ref()
+                        .map(|p| profile_json(p, detail.events_processed));
                 }
                 (m, detail, secs, et_nodes)
             })
@@ -1542,6 +1545,7 @@ fn custom_perf(opts: &RunOpts) -> CustomOut {
     const PAR_SHARDS: usize = 16;
     let par_nodes = if opts.smoke { 120 } else { 600 };
     let multi = if opts.threads > 1 { opts.threads } else { 4 };
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut profile = None;
     for &threads in &[1usize, multi] {
         let mut events = 0u64;
@@ -1570,7 +1574,10 @@ fn custom_perf(opts: &RunOpts) -> CustomOut {
             delivery += m.delivery;
             imbalance += detail.lane_imbalance;
             if threads == multi && seed == seeds[0] {
-                profile = detail.engine_profile.as_ref().map(profile_json);
+                profile = detail
+                    .engine_profile
+                    .as_ref()
+                    .map(|p| profile_json(p, detail.events_processed));
             }
         }
         rows.push(Row::new(
@@ -1585,7 +1592,7 @@ fn custom_perf(opts: &RunOpts) -> CustomOut {
                 ),
                 ("wall_ms".into(), wall * 1e3),
                 ("events_processed".into(), events as f64),
-                ("hardware_threads".into(), rayon::hardware_threads() as f64),
+                ("hardware_threads".into(), hardware_threads as f64),
                 ("lane_imbalance".into(), imbalance / seeds.len() as f64),
                 ("delivery".into(), delivery / seeds.len() as f64),
             ],

@@ -347,17 +347,17 @@ fn validate_timeline(v: &Json) -> Result<(), String> {
 
 /// Structural check of a report's optional `profile` block. Values are
 /// wall-clock derived and machine-dependent, so only shape and
-/// non-negativity are checked — never magnitudes. `collect_secs` is
-/// optional: reports written before the collect phase was timed lack it.
+/// non-negativity are checked — never magnitudes. `collect_secs`,
+/// `events` and `active_shards` are optional: reports written before the
+/// engine recorded them lack them.
 fn validate_profile(v: &Json) -> Result<(), String> {
     let fields = obj_fields(v)?;
-    let collect = fields
-        .iter()
-        .any(|(k, _)| k == "collect_secs")
-        .then_some("collect_secs");
+    let optional = ["collect_secs", "events", "active_shards"]
+        .into_iter()
+        .filter(|key| fields.iter().any(|(k, _)| k == key));
     for key in ["windows", "drain_secs", "commit_secs", "barrier_secs"]
         .into_iter()
-        .chain(collect)
+        .chain(optional)
     {
         match field(fields, key)? {
             Json::Num(n) if *n >= 0.0 && n.is_finite() => {}
@@ -1479,18 +1479,21 @@ mod tests {
         let s = report_with_blocks("x", any_rows(), None, Some(bad));
         assert!(validate_report_str(&s).unwrap_err().contains("drain_secs"));
 
-        // The optional collect phase is checked when present.
-        let with_collect = |secs: f64| {
+        // The optional collect phase and window counts are checked when
+        // present.
+        let with_field = |key: &str, value: f64| {
             let Json::Obj(mut fields) = good.clone() else {
                 unreachable!()
             };
-            fields.push(("collect_secs".into(), Json::Num(secs)));
+            fields.push((key.into(), Json::Num(value)));
             report_with_blocks("x", any_rows(), None, Some(Json::Obj(fields)))
         };
-        validate_report_str(&with_collect(0.1)).expect("collect phase accepted");
-        assert!(validate_report_str(&with_collect(-0.1))
-            .unwrap_err()
-            .contains("collect_secs"));
+        for key in ["collect_secs", "events", "active_shards"] {
+            validate_report_str(&with_field(key, 0.1)).expect("optional field accepted");
+            assert!(validate_report_str(&with_field(key, -0.1))
+                .unwrap_err()
+                .contains(key));
+        }
     }
 
     #[test]

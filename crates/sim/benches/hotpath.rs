@@ -228,7 +228,7 @@ fn bench_commit_pass(c: &mut Criterion) {
             let mut stats = Stats::new(NODES);
             for ((events, txs), outbox) in fixture.iter().zip(outboxes.iter_mut()) {
                 // Handlers buffer events (reversed for the merge), and
-                // the pre-fold runs on a rayon lane in the engine.
+                // the pre-fold runs on a crew lane in the engine.
                 outbox.extend(events.iter().rev().map(|&(time, tag)| Scheduled {
                     time,
                     seq: tag,

@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+mod crew;
 pub mod ctx;
 pub mod engine;
 pub mod event;

@@ -2,9 +2,9 @@
 //!
 //! [`ParSimulator`] partitions nodes into `K` shards by spatial-index cell
 //! ([`World::cell_of`]) and dispatches same-window events shard-parallel on
-//! the vendored rayon pool, while keeping every statistic a pure function
-//! of `(SimConfig, protocol)` — **independent of the thread and shard
-//! counts**. The construction:
+//! an engine-owned lane crew (the private `crew` module), while keeping
+//! every statistic a pure function of `(SimConfig, protocol)` —
+//! **independent of the thread and shard counts**. The construction:
 //!
 //! * **Lookahead windows.** The radio's propagation latency is a strict
 //!   lower bound on send→arrival (`arrival = tx_end + latency + jitter`,
@@ -39,6 +39,11 @@
 //!   Byzantine onsets, clock/position error — applies atomically this
 //!   way, which is what keeps the thread count invisible under fault
 //!   injection.
+//! * **Active shards.** Routing records each shard that receives work in
+//!   a window (first-touch order). Drain and commit visit only those, so
+//!   a thin window costs what its work costs, not what the shard count
+//!   does; the lanes claim active shards one at a time from a shared
+//!   cursor.
 //!
 //! Contract differences from the serial [`crate::Simulator`], both
 //! deterministic and documented: timers with delays shorter than the
@@ -47,6 +52,7 @@
 //! another cell keeps its original shard (mild load drift, never an
 //! ordering change).
 
+use crate::crew::{self, Crew};
 use crate::engine::SimConfig;
 use crate::event::{EventKind, EventQueue, Scheduled};
 use crate::fault::{ByzantineMode, FaultEvent, FaultKind, FaultPlan};
@@ -63,7 +69,8 @@ use hvdb_traffic::{flow_seed, Rng64, FLOW_NONE};
 use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
+use std::marker::PhantomData;
+use std::time::{Duration, Instant};
 
 /// Salt mixed into the master seed for per-node streams, so node streams
 /// never collide with the traffic plane's per-flow streams (which use the
@@ -114,6 +121,10 @@ pub struct EngineProfile {
     pub barrier_secs: f64,
     /// Per-lane busy seconds inside drain (index = lane).
     pub lane_busy_secs: Vec<f64>,
+    /// Sum over windows of the shards that had work in the window — a
+    /// deterministic count; `active_shards / windows` is how many shards
+    /// an average window touches.
+    pub active_shards: u64,
     /// Detailed slices (empty unless detail is enabled; capped).
     pub slices: Vec<PhaseSlice>,
     /// Slices discarded past the retention cap.
@@ -247,7 +258,13 @@ impl Counters {
         for &(ticks, n) in &self.refresh_rate {
             *stats.refresh_rate_hist.entry(ticks).or_insert(0) += n;
         }
-        *self = Counters::default();
+        // Zero in place, keeping the rate buffer's allocation.
+        let mut refresh_rate = std::mem::take(&mut self.refresh_rate);
+        refresh_rate.clear();
+        *self = Counters {
+            refresh_rate,
+            ..Counters::default()
+        };
     }
 }
 
@@ -340,6 +357,9 @@ struct Shard<N, M> {
     /// This window's work, each task paired with the window rank of the
     /// routed event it came from.
     tasks: Vec<(u32, Task<M>)>,
+    /// Whether the shard is listed in the engine's `active` list; set
+    /// with the listing, cleared when commit empties the list.
+    listed: bool,
     /// This window's broadcast receivers, one contiguous run per
     /// [`Task::DeliverSlice`]; appended by routing, cleared after drain.
     recv_ids: Vec<NodeId>,
@@ -388,6 +408,7 @@ impl<N, M> Shard<N, M> {
         Shard {
             slots: Vec::new(),
             tasks: Vec::new(),
+            listed: false,
             recv_ids: Vec::new(),
             open_slice: None,
             outbox: Vec::new(),
@@ -407,7 +428,7 @@ impl<N, M> Shard<N, M> {
 
     /// The shard-parallel half of the commit: folds this window's `Tx`
     /// ops into the per-class / per-node digest, leaving only the rare
-    /// order-sensitive ops for the serial commit. Runs on the rayon
+    /// order-sensitive ops for the serial commit. Runs on the crew's
     /// lanes at the end of [`Shard::drain`]; idempotent when nothing new
     /// was buffered, so the serial barrier path can rely on commit
     /// calling it again.
@@ -1138,23 +1159,25 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     }
 }
 
-/// Drains the buffer `buf` of every shard into `sink`, merged by `key`.
-/// Each buffer must be in non-decreasing key order, and a key may occur
-/// in one shard only; equal keys keep their buffer order. `heads` is
-/// empty scratch, handed back empty.
+/// Drains the buffer `buf` of every `active` shard into `sink`, merged
+/// by `key`. Each buffer must be in non-decreasing key order, and a key
+/// may occur in one shard only (so the order `active` lists shards in
+/// never shows); equal keys keep their buffer order. `heads` is empty
+/// scratch, handed back empty.
 fn merge_by_key<S, T>(
     shards: &mut [S],
+    active: &[u32],
     buf: fn(&mut S) -> &mut Vec<T>,
     key: fn(&T) -> u64,
     heads: &mut BinaryHeap<Reverse<(u64, u32)>>,
     mut sink: impl FnMut(T),
 ) {
-    for (i, shard) in shards.iter_mut().enumerate() {
-        let b = buf(shard);
+    for &i in active {
+        let b = buf(&mut shards[i as usize]);
         // Reversed, so popping from the tail yields key order.
         b.reverse();
         if let Some(last) = b.last() {
-            heads.push(Reverse((key(last), i as u32)));
+            heads.push(Reverse((key(last), i)));
         }
     }
     while let Some(Reverse((_, i))) = heads.pop() {
@@ -1163,6 +1186,42 @@ fn merge_by_key<S, T>(
         if let Some(next) = b.last() {
             heads.push(Reverse((key(next), i)));
         }
+    }
+}
+
+/// The shard table lent to the crew's lanes for one drain: each lane
+/// reaches the shards it claims through [`ShardTable::get`].
+struct ShardTable<'a, N, M> {
+    base: *mut Shard<N, M>,
+    len: usize,
+    _borrow: PhantomData<&'a mut [Shard<N, M>]>,
+}
+
+// SAFETY: the table only lends out `&mut Shard`s, which may move to
+// another thread when the shard's contents are `Send`; `get`'s contract
+// keeps those borrows disjoint.
+unsafe impl<N: Send, M: Send> Sync for ShardTable<'_, N, M> {}
+
+impl<'a, N, M> ShardTable<'a, N, M> {
+    fn new(shards: &'a mut [Shard<N, M>]) -> Self {
+        ShardTable {
+            base: shards.as_mut_ptr(),
+            len: shards.len(),
+            _borrow: PhantomData,
+        }
+    }
+
+    /// Shard `s`, mutably.
+    ///
+    /// # Safety
+    /// No other borrow of shard `s` obtained from this table may be live.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get(&self, s: usize) -> &mut Shard<N, M> {
+        assert!(s < self.len, "shard {s} out of {}", self.len);
+        // SAFETY: in bounds (checked), the table holds the exclusive
+        // borrow of the whole slice for `'a`, and the caller guarantees
+        // this is the only live borrow of element `s`.
+        unsafe { &mut *self.base.add(s) }
     }
 }
 
@@ -1188,6 +1247,10 @@ pub struct ParSimulator<N, M> {
     threads: usize,
     num_shards: usize,
     shards: Vec<Shard<N, M>>,
+    /// Shards with work in the current window (or with serial-callback
+    /// output awaiting a barrier commit), in first-touch order, each
+    /// once. Drain and commit visit only these; commit empties it.
+    active: Vec<u32>,
     /// Node index -> (shard index, slot index within shard). Fixed at
     /// first run; migrating nodes keep their shard.
     node_map: Vec<(u32, u32)>,
@@ -1209,6 +1272,8 @@ pub struct ParSimulator<N, M> {
     profile_detail: bool,
     /// Wall-clock origin of slice timestamps (first `run` call).
     profile_origin: Option<Instant>,
+    /// Per-lane `(start since origin, busy)` of the last drain.
+    lane_spans: Vec<(Duration, Duration)>,
 }
 
 impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
@@ -1257,6 +1322,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             threads: threads.max(1),
             num_shards: shards,
             shards: Vec::new(),
+            active: Vec::new(),
             node_map: Vec::new(),
             touched: Vec::new(),
             merge_heads: BinaryHeap::new(),
@@ -1267,6 +1333,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             profile: EngineProfile::default(),
             profile_detail: false,
             profile_origin: None,
+            lane_spans: Vec::new(),
         }
     }
 
@@ -1436,24 +1503,53 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         }
     }
 
+    /// Lists shard `s` in `active` unless it already is. The shard's
+    /// `listed` flag makes each shard appear at most once — the drain's
+    /// exclusivity argument — even if a panic left a window uncommitted.
+    fn activate<'s>(
+        shards: &'s mut [Shard<N, M>],
+        active: &mut Vec<u32>,
+        s: u32,
+    ) -> &'s mut Shard<N, M> {
+        let shard = &mut shards[s as usize];
+        if !shard.listed {
+            shard.listed = true;
+            active.push(s);
+        }
+        shard
+    }
+
+    /// Appends `task` to shard `s`'s window list, listing the shard as
+    /// active.
+    fn push_task(
+        shards: &mut [Shard<N, M>],
+        active: &mut Vec<u32>,
+        s: u32,
+        rank: u32,
+        task: Task<M>,
+    ) {
+        Self::activate(shards, active, s).tasks.push((rank, task));
+    }
+
     /// Routes the popped window event of rank `rank` (its position in the
     /// window's `(time, seq)` order) to its target shards' task lists.
     fn route(&mut self, ev: Scheduled<M>, rank: u32) {
         let at = ev.time;
+        let shards = &mut self.shards;
+        let active = &mut self.active;
+        let shard_of = |n: NodeId| self.node_map[n.idx()].0;
         match ev.kind {
             EventKind::Deliver { to, from, msg } => {
-                let s = self.node_map[to.idx()].0 as usize;
-                self.shards[s]
-                    .tasks
-                    .push((rank, Task::Deliver { at, to, from, msg }));
+                let task = Task::Deliver { at, to, from, msg };
+                Self::push_task(shards, active, shard_of(to), rank, task);
             }
             EventKind::DeliverMany { mut to, from, msg } => {
                 // Split the receivers by shard into the shards' arenas:
                 // one contiguous slice (one task) per touched shard, in
                 // the sender's ascending id order.
                 for &n in &to {
-                    let s = self.node_map[n.idx()].0;
-                    let shard = &mut self.shards[s as usize];
+                    let s = shard_of(n);
+                    let shard = &mut shards[s as usize];
                     if shard.open_slice.is_none() {
                         shard.open_slice = Some(shard.recv_ids.len() as u32);
                         self.touched.push(s);
@@ -1461,7 +1557,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                     shard.recv_ids.push(n);
                 }
                 for s in self.touched.drain(..) {
-                    let shard = &mut self.shards[s as usize];
+                    let shard = &mut shards[s as usize];
                     let start = shard.open_slice.take().expect("touched shard has a slice");
                     let len = shard.recv_ids.len() as u32 - start;
                     let task = Task::DeliverSlice {
@@ -1471,18 +1567,15 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                         len,
                         msg: msg.clone(),
                     };
-                    shard.tasks.push((rank, task));
+                    Self::push_task(shards, active, s, rank, task);
                 }
                 // The list came from the sender's shard pool; return it.
                 to.clear();
-                let sender = self.node_map[from.idx()].0 as usize;
-                self.shards[sender].recv_pool.push(to);
+                shards[shard_of(from) as usize].recv_pool.push(to);
             }
             EventKind::Timer { node, tag } => {
-                let s = self.node_map[node.idx()].0 as usize;
-                self.shards[s]
-                    .tasks
-                    .push((rank, Task::Timer { at, node, tag }));
+                let task = Task::Timer { at, node, tag };
+                Self::push_task(shards, active, shard_of(node), rank, task);
             }
             EventKind::Fault(_) | EventKind::MobilityTick => {
                 unreachable!("barrier events are handled serially")
@@ -1490,52 +1583,49 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         }
     }
 
-    /// Drains all shards' task lists, in parallel across up to `threads`
-    /// contiguous shard groups (inline when `threads == 1`). Which lane
-    /// runs which shard is invisible: shards touch only shard-local state
-    /// plus the frozen world.
-    fn drain_shards<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P) {
+    /// Drains the active shards' task lists: inline on one lane, or
+    /// claimed shard by shard by the lanes of `crew`. Which lane runs
+    /// which shard is invisible: shards touch only shard-local state plus
+    /// the frozen world.
+    fn drain_shards<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P, crew: Option<&Crew>) {
         let env = Env {
             world: &self.world,
             radio: &self.cfg.radio,
             per_receiver: self.cfg.per_receiver_delivery,
             map: &self.node_map,
         };
-        let lanes = self.threads.min(self.shards.len()).max(1);
-        let origin = self.profile_origin.unwrap_or_else(Instant::now);
-        if lanes <= 1 {
-            let t0 = Instant::now();
-            for shard in &mut self.shards {
-                shard.drain(proto, env);
+        let active = self.active.as_slice();
+        let spans = &mut self.lane_spans;
+        match crew {
+            None => {
+                let origin = self.profile_origin.unwrap_or_else(Instant::now);
+                let t0 = Instant::now();
+                for &s in active {
+                    self.shards[s as usize].drain(proto, env);
+                }
+                spans.clear();
+                spans.push((t0.saturating_duration_since(origin), t0.elapsed()));
             }
-            let lane_times = [(t0.saturating_duration_since(origin), t0.elapsed())];
-            self.fold_lane_times(&lane_times);
-        } else {
-            let chunk = self.shards.len().div_ceil(lanes);
-            // One (start, busy) slot per lane, written by exactly one
-            // closure each — profiling only observes the lanes, it never
-            // feeds back into shard execution.
-            let mut lane_times = vec![
-                (std::time::Duration::ZERO, std::time::Duration::ZERO);
-                self.shards.len().div_ceil(chunk)
-            ];
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-                .shards
-                .chunks_mut(chunk)
-                .zip(lane_times.iter_mut())
-                .map(|(group, slot)| {
-                    Box::new(move || {
-                        let t0 = Instant::now();
-                        for shard in group {
-                            shard.drain(proto, env);
-                        }
-                        *slot = (t0.saturating_duration_since(origin), t0.elapsed());
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            rayon::run_tasks(tasks);
-            self.fold_lane_times(&lane_times);
+            Some(crew) => {
+                let table = ShardTable::new(&mut self.shards);
+                spans.resize(crew.lanes(), (Duration::ZERO, Duration::ZERO));
+                crew.for_each(
+                    active.len(),
+                    &|i| {
+                        // SAFETY: the crew hands each index `i` of this
+                        // window to exactly one lane, and `active` lists
+                        // a shard at most once (see `activate`), so no
+                        // two live borrows alias.
+                        let shard = unsafe { table.get(active[i] as usize) };
+                        shard.drain(proto, env);
+                    },
+                    spans,
+                );
+            }
         }
+        let spans = std::mem::take(&mut self.lane_spans);
+        self.fold_lane_times(&spans);
+        self.lane_spans = spans;
     }
 
     /// Folds per-lane `(start-since-origin, busy)` readings into the
@@ -1591,7 +1681,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     fn commit(&mut self) {
         let map = self.node_map.as_slice();
         let stats = &mut self.stats;
-        for shard in self.shards.iter_mut() {
+        for &s in &self.active {
+            let shard = &mut self.shards[s as usize];
             // No-op after drain_shards; covers the serial barrier path,
             // which runs callbacks without a drain.
             shard.prefold(map);
@@ -1603,10 +1694,12 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             shard.counters.fold_into(stats);
         }
         let shards = self.shards.as_mut_slice();
+        let active = self.active.as_slice();
         let heads = &mut self.merge_heads;
         let queue = &mut self.queue;
         merge_by_key(
             shards,
+            active,
             |s| &mut s.outbox,
             |ev| ev.seq,
             heads,
@@ -1614,6 +1707,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         );
         merge_by_key(
             shards,
+            active,
             |s| &mut s.tx_classes,
             |c| c.0,
             heads,
@@ -1621,6 +1715,7 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         );
         merge_by_key(
             shards,
+            active,
             |s| &mut s.rare_ops,
             |op| op.0,
             heads,
@@ -1647,14 +1742,17 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             // keep each node's own emission order and the merged trace is
             // independent of shard drain interleaving.
             let mut merged = std::mem::take(&mut self.trace_scratch);
-            for shard in self.shards.iter_mut() {
-                merged.append(&mut shard.trace_buf);
+            for &s in &self.active {
+                merged.append(&mut self.shards[s as usize].trace_buf);
             }
             merged.sort_by_key(|e| (e.at, e.node.0));
             for ev in merged.drain(..) {
                 self.trace.push(ev);
             }
             self.trace_scratch = merged;
+        }
+        for s in self.active.drain(..) {
+            self.shards[s as usize].listed = false;
         }
     }
 
@@ -1672,7 +1770,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
             per_receiver: self.cfg.per_receiver_delivery,
             map: &self.node_map,
         };
-        self.shards[s as usize].with_slot(i as usize, 0, self.now, env, f);
+        Self::activate(&mut self.shards, &mut self.active, s)
+            .with_slot(i as usize, 0, self.now, env, f);
     }
 
     /// Processes one barrier event serially with full `&mut World`
@@ -1779,13 +1878,47 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
     /// of causally independent events shard-parallel and committing each
     /// window deterministically. May be called repeatedly with increasing
     /// horizons; shard construction and node start-up happen on the first
-    /// call.
+    /// call. With more than one lane, the call spawns `lanes − 1` scoped
+    /// worker threads for its own duration (the calling thread is lane
+    /// 0); a panic in a protocol callback on any lane re-raises here.
     pub fn run<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P, until: SimTime) {
         let wall_start = Instant::now();
-        if self.profile_origin.is_none() {
-            self.profile_origin = Some(wall_start);
-        }
+        let origin = *self.profile_origin.get_or_insert(wall_start);
         let entry = self.now;
+        let lanes = self.threads.min(self.num_shards);
+        if lanes > 1 {
+            crew::with_crew(lanes, origin, |crew| {
+                self.run_windows(proto, until, Some(crew))
+            });
+        } else {
+            self.run_windows(proto, until, None);
+        }
+        self.now = until.max(self.now);
+        self.sim_secs += self.now.since(entry).as_secs_f64();
+        self.wall_secs += wall_start.elapsed().as_secs_f64();
+    }
+
+    /// Drains the active shards on `crew` (inline without one), then
+    /// commits the window.
+    fn window<P: ParProtocol<Msg = M, Node = N>>(&mut self, proto: &P, crew: Option<&Crew>) {
+        self.profile.windows += 1;
+        self.profile.active_shards += self.active.len() as u64;
+        let t0 = Instant::now();
+        self.drain_shards(proto, crew);
+        self.note_phase("drain", t0);
+        let t1 = Instant::now();
+        self.commit();
+        self.note_phase("commit", t1);
+    }
+
+    /// The body of [`ParSimulator::run`]: start-up, then barriers and
+    /// lookahead windows up to `until`.
+    fn run_windows<P: ParProtocol<Msg = M, Node = N>>(
+        &mut self,
+        proto: &P,
+        until: SimTime,
+        crew: Option<&Crew>,
+    ) {
         if !self.started {
             self.started = true;
             self.build_shards(proto);
@@ -1800,16 +1933,16 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 );
             }
             for id in self.world.ids() {
-                let s = self.node_map[id.idx()].0 as usize;
-                self.shards[s].tasks.push((0, Task::Start { node: id }));
+                let s = self.node_map[id.idx()].0;
+                Self::push_task(
+                    &mut self.shards,
+                    &mut self.active,
+                    s,
+                    0,
+                    Task::Start { node: id },
+                );
             }
-            let t0 = Instant::now();
-            self.drain_shards(proto);
-            self.note_phase("drain", t0);
-            let t1 = Instant::now();
-            self.commit();
-            self.note_phase("commit", t1);
-            self.profile.windows += 1;
+            self.window(proto, crew);
         }
         let delta = self.cfg.radio.latency;
         loop {
@@ -1844,17 +1977,8 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
                 rank += 1;
             }
             self.note_phase("collect", t_collect);
-            let t0 = Instant::now();
-            self.drain_shards(proto);
-            self.note_phase("drain", t0);
-            let t1 = Instant::now();
-            self.commit();
-            self.note_phase("commit", t1);
-            self.profile.windows += 1;
+            self.window(proto, crew);
         }
-        self.now = until.max(self.now);
-        self.sim_secs += self.now.since(entry).as_secs_f64();
-        self.wall_secs += wall_start.elapsed().as_secs_f64();
     }
 }
 
@@ -2171,32 +2295,138 @@ mod tests {
 
     #[test]
     fn profiler_counts_windows_and_lanes() {
-        let mut sim: ParSimulator<GossipNode, GossipMsg> =
-            ParSimulator::new(grid_cfg(6, 7), Box::new(Stationary), 16, 4);
-        sim.set_profile_detail(true);
-        place_grid(&mut sim, 6);
-        sim.run(&Gossip { ttl: 3 }, SimTime::from_secs(3));
-        let p = sim.profile();
-        assert!(p.windows > 0, "windows must have been committed");
-        assert!(p.collect_secs > 0.0, "window collection must be timed");
-        assert!(p.drain_secs >= 0.0 && p.commit_secs >= 0.0);
-        let phases = p.collect_secs + p.drain_secs + p.commit_secs + p.barrier_secs;
-        assert!(
-            phases <= sim.wall_secs(),
-            "phases sum to {phases}s, more than the run's {}s",
-            sim.wall_secs()
-        );
-        assert!(
-            !p.lane_busy_secs.is_empty(),
-            "lane busy time must be recorded"
-        );
-        assert!(p.lane_imbalance() >= 1.0);
-        assert!(
-            ["collect", "drain", "commit", "lane"]
-                .iter()
-                .all(|phase| p.slices.iter().any(|s| s.phase == *phase)),
-            "detailed slices must cover collect/drain/commit/lane phases"
-        );
+        for threads in [2, 4] {
+            let mut sim: ParSimulator<GossipNode, GossipMsg> =
+                ParSimulator::new(grid_cfg(6, 7), Box::new(Stationary), 16, threads);
+            sim.set_profile_detail(true);
+            place_grid(&mut sim, 6);
+            sim.run(&Gossip { ttl: 3 }, SimTime::from_secs(3));
+            let p = sim.profile();
+            assert!(p.windows > 0, "windows must have been committed");
+            assert!(
+                p.active_shards >= p.windows && p.active_shards <= 16 * p.windows,
+                "{} active shards over {} windows",
+                p.active_shards,
+                p.windows
+            );
+            assert!(p.collect_secs > 0.0, "window collection must be timed");
+            assert!(p.drain_secs >= 0.0 && p.commit_secs >= 0.0);
+            let phases = p.collect_secs + p.drain_secs + p.commit_secs + p.barrier_secs;
+            assert!(
+                phases <= sim.wall_secs(),
+                "threads={threads}: phases sum to {phases}s, more than the run's {}s",
+                sim.wall_secs()
+            );
+            assert!(
+                !p.lane_busy_secs.is_empty(),
+                "lane busy time must be recorded"
+            );
+            assert!(p.lane_imbalance() >= 1.0);
+            assert!(
+                ["collect", "drain", "commit", "lane"]
+                    .iter()
+                    .all(|phase| p.slices.iter().any(|s| s.phase == *phase)),
+                "detailed slices must cover collect/drain/commit/lane phases"
+            );
+        }
+    }
+
+    #[test]
+    fn active_shard_count_is_thread_invisible() {
+        // The count of shards with work per window is a property of the
+        // run (routing is serial), not of the lanes that drain them.
+        let count = |threads: usize| {
+            let mut sim: ParSimulator<GossipNode, GossipMsg> =
+                ParSimulator::new(grid_cfg(6, 7), Box::new(Stationary), 16, threads);
+            place_grid(&mut sim, 6);
+            sim.run(&Gossip { ttl: 3 }, SimTime::from_secs(3));
+            (sim.profile().windows, sim.profile().active_shards)
+        };
+        assert_eq!(count(1), count(4));
+    }
+
+    /// Panics in node 4's first timer; otherwise the chatty gossip.
+    struct PanicOnTimer;
+
+    impl ParProtocol for PanicOnTimer {
+        type Msg = GossipMsg;
+        type Node = GossipNode;
+
+        fn make_node(&self, id: NodeId, world: &World) -> GossipNode {
+            Gossip { ttl: 1 }.make_node(id, world)
+        }
+
+        fn on_start(&self, id: NodeId, node: &mut GossipNode, ctx: &mut ParCtx<'_, GossipMsg>) {
+            Gossip { ttl: 1 }.on_start(id, node, ctx)
+        }
+
+        fn on_message(
+            &self,
+            id: NodeId,
+            node: &mut GossipNode,
+            from: NodeId,
+            msg: GossipMsg,
+            ctx: &mut ParCtx<'_, GossipMsg>,
+        ) {
+            Gossip { ttl: 1 }.on_message(id, node, from, msg, ctx)
+        }
+
+        fn on_timer(
+            &self,
+            id: NodeId,
+            node: &mut GossipNode,
+            tag: u64,
+            ctx: &mut ParCtx<'_, GossipMsg>,
+        ) {
+            if id == NodeId(4) {
+                panic!("timer of node 4");
+            }
+            Gossip { ttl: 1 }.on_timer(id, node, tag, ctx)
+        }
+    }
+
+    #[test]
+    fn worker_lane_panic_reaches_caller() {
+        // Whichever lane claims node 4's shard, its panic must surface
+        // from `run` (after the crew has shut down), not hang the window.
+        for threads in [2, 4] {
+            let r = std::panic::catch_unwind(|| {
+                let mut sim: ParSimulator<GossipNode, GossipMsg> =
+                    ParSimulator::new(grid_cfg(6, 7), Box::new(Stationary), 16, threads);
+                place_grid(&mut sim, 6);
+                sim.run(&PanicOnTimer, SimTime::from_secs(3));
+            });
+            let payload = r.expect_err("the timer's panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"timer of node 4"),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn more_lanes_than_active_shards() {
+        // Nine nodes on 64 shards at 8 lanes: most windows have one or
+        // two active shards, so most lanes find nothing to claim.
+        let run = |threads: usize| {
+            let mut sim: ParSimulator<GossipNode, GossipMsg> =
+                ParSimulator::new(grid_cfg(3, 5), Box::new(Stationary), 64, threads);
+            sim.set_trace(TraceConfig::all());
+            place_grid(&mut sim, 3);
+            sim.run(&Gossip { ttl: 2 }, SimTime::from_secs(4));
+            let p = sim.profile();
+            assert!(
+                p.active_shards < 2 * p.windows,
+                "windows should be thin: {} active shards over {} windows",
+                p.active_shards,
+                p.windows
+            );
+            (format!("{:?}", sim.stats()), sim.trace().render())
+        };
+        let one = run(1);
+        assert!(!one.1.is_empty(), "gossip must leave a trace");
+        assert_eq!(one, run(8), "threads=8 diverged from threads=1");
     }
 
     /// Traced gossip under random waypoint, where nodes cross cells
