@@ -26,11 +26,10 @@
 use hvdb_bench::scenario::{find, registry, run_scenario, RunOpts, ScenarioDef};
 use hvdb_bench::{
     check_byzantine_gate, check_loss_floor, check_loss_high_band, check_overhead_gate,
-    check_partition_gate, check_partition_timeline, check_perf_gate, check_perf_threads_gate,
-    check_scale_gate, check_traffic_gate, check_trajectory, gated_metrics, run_par_hvdb_traced,
-    validate_report_str, Json, ScenarioReport, Workload, LOSS_DELIVERY_FLOOR, PERF_SPEEDUP_FLOOR,
-    PERF_THREADS_SPEEDUP_FLOOR, TRAFFIC_P99_REFERENCE_POINT, TRAJECTORY_DELIVERY_TOLERANCE,
-    TRAJECTORY_OVERHEAD_TOLERANCE,
+    check_partition_gate, check_partition_timeline, check_perf_threads_gate, check_scale_gate,
+    check_traffic_gate, check_trajectory, gated_metrics, run_par_hvdb_traced, validate_report_str,
+    Json, ScenarioReport, Workload, LOSS_DELIVERY_FLOOR, PERF_THREADS_SPEEDUP_FLOOR,
+    TRAFFIC_P99_REFERENCE_POINT, TRAJECTORY_DELIVERY_TOLERANCE, TRAJECTORY_OVERHEAD_TOLERANCE,
 };
 use std::process::ExitCode;
 
@@ -65,8 +64,8 @@ fn usage() {
         "  hvdb-bench run --all        [--smoke] [--seeds 1,2,3] [--threads N] [--out-dir DIR]"
     );
     eprintln!("  hvdb-bench run ...          [--trace-out PATH] [--trace-filter CATS]");
-    eprintln!("  hvdb-bench validate <file>... [--loss-floor F] [--perf-floor F]");
-    eprintln!("                                [--threads-floor F] [--baseline-dir DIR]");
+    eprintln!("  hvdb-bench validate <file>... [--loss-floor F] [--threads-floor F]");
+    eprintln!("                                [--baseline-dir DIR]");
     eprintln!("                                [--delivery-tolerance F] [--overhead-tolerance F]");
     eprintln!("  hvdb-bench explain <report.json>");
     eprintln!();
@@ -85,9 +84,7 @@ fn usage() {
     eprintln!("\"loss\" must clear the worst-seed delivery floor (default");
     eprintln!("{LOSS_DELIVERY_FLOOR}) at 15% frame loss; \"overhead\" must show the quiet-phase");
     eprintln!("adaptive-refresh improvement and stay under the frames/s ceiling;");
-    eprintln!("\"perf\" must show shared-frame delivery at least --perf-floor times");
-    eprintln!("(default {PERF_SPEEDUP_FLOOR}) faster than the per-receiver-clone arm, and its");
-    eprintln!("engine-threads arm must keep events_processed identical across thread");
+    eprintln!("\"perf\"'s engine-threads arm must keep events_processed identical across thread");
     eprintln!("counts and — on machines with >= 4 hardware threads — clear the");
     eprintln!("--threads-floor speedup (default {PERF_THREADS_SPEEDUP_FLOOR}).");
     eprintln!("`run --threads N` sets the worker-thread count of parallel-engine");
@@ -108,7 +105,6 @@ fn usage() {
 fn validate(args: &[String]) -> ExitCode {
     let mut files: Vec<String> = Vec::new();
     let mut floor = LOSS_DELIVERY_FLOOR;
-    let mut perf_floor = PERF_SPEEDUP_FLOOR;
     let mut threads_floor = PERF_THREADS_SPEEDUP_FLOOR;
     let mut baseline_dir: Option<String> = None;
     let mut delivery_tol = TRAJECTORY_DELIVERY_TOLERANCE;
@@ -126,18 +122,12 @@ fn validate(args: &[String]) -> ExitCode {
                     }
                 }
             }
-            flag @ ("--perf-floor" | "--threads-floor") => {
+            "--threads-floor" => {
                 i += 1;
                 match args.get(i).and_then(|f| f.parse::<f64>().ok()) {
-                    Some(f) if f > 0.0 && f.is_finite() => {
-                        if flag == "--perf-floor" {
-                            perf_floor = f;
-                        } else {
-                            threads_floor = f;
-                        }
-                    }
+                    Some(f) if f > 0.0 && f.is_finite() => threads_floor = f,
                     _ => {
-                        eprintln!("{flag} needs a positive number");
+                        eprintln!("--threads-floor needs a positive number");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -193,7 +183,6 @@ fn validate(args: &[String]) -> ExitCode {
         let mut fails: Vec<String> = Vec::new();
         let floors = GateFloors {
             loss: floor,
-            perf: perf_floor,
             threads: threads_floor,
         };
         scenario_gates(&doc, &floors, &mut notes, &mut fails);
@@ -250,7 +239,6 @@ fn scenario_name(doc: &hvdb_bench::Json) -> Option<String> {
 /// `explain` uses the committed defaults).
 struct GateFloors {
     loss: f64,
-    perf: f64,
     threads: f64,
 }
 
@@ -258,7 +246,6 @@ impl Default for GateFloors {
     fn default() -> Self {
         GateFloors {
             loss: LOSS_DELIVERY_FLOOR,
-            perf: PERF_SPEEDUP_FLOOR,
             threads: PERF_THREADS_SPEEDUP_FLOOR,
         }
     }
@@ -283,7 +270,7 @@ fn scenario_gates(
     notes: &mut Vec<String>,
     fails: &mut Vec<String>,
 ) {
-    let (floor, perf_floor, threads_floor) = (floors.loss, floors.perf, floors.threads);
+    let (floor, threads_floor) = (floors.loss, floors.threads);
     match scenario_name(doc).as_deref() {
         Some("loss") => {
             run_gate(
@@ -314,15 +301,6 @@ fn scenario_gates(
             );
         }
         Some("perf") => {
-            run_gate(
-                check_perf_gate(doc, perf_floor).map(|(label, speedup)| {
-                    vec![format!(
-                        "shared-frame delivery {speedup:.2}x faster at {label} (floor {perf_floor})"
-                    )]
-                }),
-                notes,
-                fails,
-            );
             run_gate(
                 check_perf_threads_gate(doc, threads_floor).map(|(tlabel, tspeedup, enforced)| {
                     vec![if enforced {

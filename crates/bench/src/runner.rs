@@ -66,9 +66,8 @@ pub struct RunDetail {
     /// adaptive refresh controller suppresses in quiet phases.
     pub refresh_frames: u64,
     /// Protocol callbacks dispatched by the engine
-    /// ([`hvdb_sim::Stats::events_processed`]): identical across
-    /// delivery modes on the same workload, making events/s a pure
-    /// wall-clock speedup for the `perf` scenario.
+    /// ([`hvdb_sim::Stats::events_processed`]): the workload-normalised
+    /// denominator of the `perf` scenario's events/s.
     pub events_processed: u64,
     /// Wall-clock seconds spent inside [`Simulator::run`].
     pub wall_secs: f64,
@@ -78,8 +77,6 @@ pub struct RunDetail {
     pub sim_secs: f64,
     /// Deliveries served from a shared broadcast payload.
     pub frames_shared: u64,
-    /// Per-receiver payload clones in the legacy delivery mode.
-    pub frames_cloned: u64,
     /// Traffic-plane delivery profile (histogram quantiles, per-flow
     /// goodput, pacing drops). Meaningful whenever data was delivered;
     /// flow/jitter/hop figures need flow-tagged traffic.
@@ -165,7 +162,6 @@ fn engine_detail<M: Clone>(sim: &Simulator<M>) -> RunDetail {
         wall_secs: sim.wall_secs(),
         sim_secs: sim.sim_secs(),
         frames_shared: sim.stats().frames_shared,
-        frames_cloned: sim.stats().frames_cloned,
         traffic: traffic_profile_of(sim.stats()),
         memory_per_node_bytes: 0.0,
         drops_partitioned: sim.stats().drops_partitioned,
@@ -287,7 +283,6 @@ pub fn run_par_flood(scenario: &Scenario, shards: usize) -> (RunMetrics, RunDeta
         wall_secs: sim.wall_secs(),
         sim_secs: sim.sim_secs(),
         frames_shared: sim.stats().frames_shared,
-        frames_cloned: sim.stats().frames_cloned,
         traffic: traffic_profile_of(sim.stats()),
         memory_per_node_bytes: 0.0,
         drops_partitioned: sim.stats().drops_partitioned,
@@ -354,7 +349,6 @@ fn par_hvdb_detail(sim: &ParHvdbSim) -> RunDetail {
         wall_secs: sim.wall_secs(),
         sim_secs: sim.sim_secs(),
         frames_shared: sim.stats().frames_shared,
-        frames_cloned: sim.stats().frames_cloned,
         traffic: traffic_profile_of(sim.stats()),
         memory_per_node_bytes: (sim.world().memory_bytes() + state_bytes) as f64 / n as f64,
         drops_partitioned: sim.stats().drops_partitioned,

@@ -142,7 +142,7 @@ pub fn registry() -> Vec<ScenarioDef> {
         ScenarioDef {
             name: "perf",
             figure: "north-star",
-            summary: "engine wall-clock throughput: shared-frame vs per-receiver-clone delivery on byte-identical workloads (events/s gate)",
+            summary: "engine wall-clock throughput: serial HVDB events/s by node count (observational) and the parallel engine at 1 vs N threads (identical event counts; speedup gate on >= 4 hardware threads)",
             exec: Exec::Detailed(custom_perf),
         },
         ScenarioDef {
@@ -1423,23 +1423,16 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
 }
 
 /// The `perf` scenario: wall-clock throughput of the simulation engine
-/// itself, measured as events/s and simulated-seconds per wall-second on
-/// **byte-identical workloads** under two delivery machineries:
+/// itself, measured as events/s and simulated-seconds per wall-second.
 ///
-/// * `hvdb-shared` — the zero-copy frame plane: one `DeliverMany` event
-///   per broadcast, payload shared by refcount;
-/// * `hvdb-cloned` — the pre-refactor arm: one event and one deep
-///   payload copy per receiver
-///   ([`SimConfig::per_receiver_delivery`](hvdb_sim::SimConfig) +
-///   `HvdbConfig::deep_clone_frames`).
+/// The `serial-hvdb` sweep runs HVDB on the serial engine through the
+/// canonical run recipe at growing node counts. It is observational:
+/// wall-clock is machine-dependent, so no gate reads its throughput (the
+/// frame plane's cost is gated deterministically, in allocations per
+/// event, by `crates/bench/tests/frame_allocs.rs`). Runs are **serial**
+/// — no rayon — because wall-clock is the measurand.
 ///
-/// Both arms replay the identical event sequence (the golden-report test
-/// enforces this bit-for-bit), so `events_processed` matches exactly and
-/// the events/s ratio is a pure speedup. Runs are **serial** — no rayon —
-/// because wall-clock is the measurand. `validate` gates the ratio at
-/// the largest common node count ([`crate::validate::check_perf_gate`]).
-///
-/// A third sweep, `engine-threads`, measures the sharded parallel engine
+/// A second sweep, `engine-threads`, measures the sharded parallel engine
 /// ([`hvdb_sim::ParSimulator`] running [`hvdb_baselines::ParFlood`]) at 1
 /// and `--threads` (default 4) worker threads on the gate node count:
 /// identical `events_processed` at every thread count (the determinism
@@ -1449,7 +1442,7 @@ fn custom_scale(opts: &RunOpts) -> CustomOut {
 ///
 /// Smoke mode shrinks the node counts but keeps tens of simulated
 /// seconds (unlike [`Workload::smoke`]'s milliseconds): a wall-clock
-/// ratio needs enough work to rise above timer noise.
+/// measurement needs enough work to rise above timer noise.
 ///
 /// The engine-threads rows additionally report `lane_imbalance` —
 /// max/mean per-lane busy wall-time from the engine profiler, 1.0 being
@@ -1488,53 +1481,44 @@ fn custom_perf(opts: &RunOpts) -> CustomOut {
     } else {
         full
     };
-    const ARMS: [(&str, bool); 2] = [("hvdb-shared", false), ("hvdb-cloned", true)];
     let mut rows = Vec::new();
     for &nodes in &node_counts {
-        for &(arm, cloned) in &ARMS {
-            let mut events = 0u64;
-            let mut wall = 0.0f64;
-            let mut sim_secs = 0.0f64;
-            let mut shared_frames = 0u64;
-            let mut cloned_frames = 0u64;
-            let mut delivery = 0.0f64;
-            for &seed in &seeds {
-                let w = Workload {
-                    nodes,
-                    side: (nodes as f64 * 8533.0).sqrt(),
-                    vc_side: scaled_vc_side(nodes),
-                    seed,
-                    ..base.clone()
-                };
-                let mut scenario = w.build();
-                scenario.sim.per_receiver_delivery = cloned;
-                let (m, detail) =
-                    run_hvdb_tweaked(&scenario, &|cfg| cfg.deep_clone_frames = cloned);
-                events += detail.events_processed;
-                wall += detail.wall_secs;
-                sim_secs += detail.sim_secs;
-                shared_frames += detail.frames_shared;
-                cloned_frames += detail.frames_cloned;
-                delivery += m.delivery;
-            }
-            rows.push(Row::new(
-                "delivery-mode",
-                format!("nodes={nodes}"),
-                arm,
-                vec![
-                    ("events_per_s".into(), events as f64 / wall.max(1e-9)),
-                    (
-                        "sim_sec_per_wall_sec".into(),
-                        sim_sec_per_wall_sec(sim_secs, wall),
-                    ),
-                    ("wall_ms".into(), wall * 1e3),
-                    ("events_processed".into(), events as f64),
-                    ("frames_shared".into(), shared_frames as f64),
-                    ("frames_cloned".into(), cloned_frames as f64),
-                    ("delivery".into(), delivery / seeds.len() as f64),
-                ],
-            ));
+        let mut events = 0u64;
+        let mut wall = 0.0f64;
+        let mut sim_secs = 0.0f64;
+        let mut shared_frames = 0u64;
+        let mut delivery = 0.0f64;
+        for &seed in &seeds {
+            let w = Workload {
+                nodes,
+                side: (nodes as f64 * 8533.0).sqrt(),
+                vc_side: scaled_vc_side(nodes),
+                seed,
+                ..base.clone()
+            };
+            let (m, detail) = run_one_instrumented(Proto::Hvdb, &w.build());
+            events += detail.events_processed;
+            wall += detail.wall_secs;
+            sim_secs += detail.sim_secs;
+            shared_frames += detail.frames_shared;
+            delivery += m.delivery;
         }
+        rows.push(Row::new(
+            "serial-hvdb",
+            format!("nodes={nodes}"),
+            "hvdb",
+            vec![
+                ("events_per_s".into(), events as f64 / wall.max(1e-9)),
+                (
+                    "sim_sec_per_wall_sec".into(),
+                    sim_sec_per_wall_sec(sim_secs, wall),
+                ),
+                ("wall_ms".into(), wall * 1e3),
+                ("events_processed".into(), events as f64),
+                ("frames_shared".into(), shared_frames as f64),
+                ("delivery".into(), delivery / seeds.len() as f64),
+            ],
+        ));
     }
     // The engine-threads arm: the *same* flooding workload on the sharded
     // parallel engine at 1 and N worker threads. Thread count must be
@@ -2430,7 +2414,6 @@ fn custom_f4(opts: &RunOpts) -> Vec<Row> {
             mobility_tick: SimDuration::ZERO,
             enhanced_fraction: 1.0,
             seed,
-            per_receiver_delivery: false,
             compact_delivery: false,
         };
         let mut sim: Simulator<FrameBytes> = Simulator::new(sim_cfg, Box::new(Stationary));

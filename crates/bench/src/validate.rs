@@ -36,14 +36,6 @@ pub const LOSS_HIGH_FLOOR: f64 = 0.93;
 /// The `loss` sweep points gated by [`LOSS_HIGH_FLOOR`].
 pub const LOSS_HIGH_POINTS: [&str; 2] = ["loss=0.25", "loss=0.3"];
 
-/// The `perf` scenario's committed speedup floor: shared-frame delivery
-/// must process events at least this many times faster than the legacy
-/// per-receiver-clone arm at the largest node count both arms ran (the
-/// committed full run measures ~3x at 600+ nodes; the gate's margin
-/// absorbs shared-runner wall-clock noise). CI's `perf-smoke` job passes
-/// a lower floor for its shrunk workload via `--perf-floor`.
-pub const PERF_SPEEDUP_FLOOR: f64 = 2.0;
-
 /// The `perf` scenario's parallel-engine speedup floor: the
 /// `engine-threads` arm's multi-thread row must process events at least
 /// this many times faster than its single-thread row — *when the machine
@@ -534,60 +526,6 @@ pub fn check_loss_high_band(doc: &Json) -> Result<Vec<(String, f64)>, String> {
         checked.push((point.to_string(), worst));
     }
     Ok(checked)
-}
-
-/// The `perf` scenario's throughput gate: at the largest node count both
-/// delivery arms ran, shared-frame delivery must be at least `floor`
-/// times faster (events/s) than the per-receiver-clone arm — and both
-/// arms must have processed **exactly** the same number of events, which
-/// is what makes the ratio a pure wall-clock speedup (a mismatch means
-/// the legacy emulation diverged from the shared path and the whole
-/// comparison is void). Smoke reports are allowed: `perf --smoke` runs a
-/// shrunk-but-real workload (tens of simulated seconds), unlike the
-/// millisecond pipelines other scenarios smoke with — callers pass a
-/// lower `floor` for it. Returns `(gated label, measured speedup)`.
-pub fn check_perf_gate(doc: &Json, floor: f64) -> Result<(String, f64), String> {
-    let rows = report_rows(doc)?;
-    let nodes_of =
-        |label: &str| -> Option<u64> { label.strip_prefix("nodes=").and_then(|n| n.parse().ok()) };
-    let find = |label: &str, proto: &str, metric: &str| -> Option<f64> {
-        rows.iter()
-            .find(|(s, l, p, _)| s == "delivery-mode" && l == label && p == proto)
-            .and_then(|(.., m)| m.iter().find(|(k, _)| k == metric).map(|(_, v)| *v))
-    };
-    let gate_label = rows
-        .iter()
-        .filter(|(s, _, p, _)| s == "delivery-mode" && p == "hvdb-cloned")
-        .filter_map(|(_, l, ..)| nodes_of(l).map(|n| (n, l.clone())))
-        .filter(|(_, l)| find(l, "hvdb-shared", "events_per_s").is_some())
-        .max_by_key(|(n, _)| *n)
-        .map(|(_, l)| l)
-        .ok_or("no delivery-mode row present for both hvdb-shared and hvdb-cloned")?;
-    let read = |proto: &str, metric: &str| -> Result<f64, String> {
-        find(&gate_label, proto, metric)
-            .ok_or_else(|| format!("no {proto} row at {gate_label} with a {metric} metric"))
-    };
-    let shared_events = read("hvdb-shared", "events_processed")?;
-    let cloned_events = read("hvdb-cloned", "events_processed")?;
-    if shared_events != cloned_events {
-        return Err(format!(
-            "delivery arms diverged at {gate_label}: shared processed {shared_events:.0} \\
-             events, cloned {cloned_events:.0} — not a byte-identical workload"
-        ));
-    }
-    let shared = read("hvdb-shared", "events_per_s")?;
-    let cloned = read("hvdb-cloned", "events_per_s")?;
-    if cloned <= 0.0 {
-        return Err("cloned-arm events_per_s is zero — measurement broken".into());
-    }
-    let speedup = shared / cloned;
-    if speedup < floor {
-        return Err(format!(
-            "shared-frame delivery speedup {speedup:.2}x at {gate_label} is below the \
-             {floor:.1}x floor (shared {shared:.0} vs cloned {cloned:.0} events/s)"
-        ));
-    }
-    Ok((gate_label, speedup))
 }
 
 /// The `perf` scenario's parallel-engine gate, over the `engine-threads`
@@ -1923,56 +1861,6 @@ mod tests {
         let hvdb_only = report("traffic", vec![traffic_row(20.0, "hvdb", 0.99, 30.0)]);
         let doc = validate_report_str(&hvdb_only).unwrap();
         assert!(check_traffic_gate(&doc).unwrap_err().contains("flooding"));
-    }
-
-    fn perf_row(label: &str, proto: &str, eps: f64, events: f64) -> Row {
-        Row::new(
-            "delivery-mode",
-            label,
-            proto,
-            vec![
-                ("events_per_s".into(), eps),
-                ("events_processed".into(), events),
-            ],
-        )
-    }
-
-    #[test]
-    fn perf_gate_checks_speedup_at_largest_common_point() {
-        // Gate applies at nodes=600 (largest label present in both arms),
-        // not at the slower 200-point.
-        let rep_ok = report(
-            "perf",
-            vec![
-                perf_row("nodes=200", "hvdb-shared", 9e6, 5e6),
-                perf_row("nodes=200", "hvdb-cloned", 6e6, 5e6),
-                perf_row("nodes=600", "hvdb-shared", 9e6, 8e6),
-                perf_row("nodes=600", "hvdb-cloned", 3e6, 8e6),
-            ],
-        );
-        let doc = validate_report_str(&rep_ok).unwrap();
-        let (label, speedup) = check_perf_gate(&doc, 2.0).expect("gate passes");
-        assert_eq!(label, "nodes=600");
-        assert!((speedup - 3.0).abs() < 1e-9);
-        // Below the floor: fails.
-        assert!(check_perf_gate(&doc, 3.5).unwrap_err().contains("below"));
-    }
-
-    #[test]
-    fn perf_gate_requires_identical_event_counts() {
-        let rep_bad = report(
-            "perf",
-            vec![
-                perf_row("nodes=600", "hvdb-shared", 9e6, 8e6),
-                perf_row("nodes=600", "hvdb-cloned", 3e6, 8e6 + 1.0),
-            ],
-        );
-        let doc = validate_report_str(&rep_bad).unwrap();
-        assert!(check_perf_gate(&doc, 2.0).unwrap_err().contains("diverged"));
-        // No common label at all: loud failure.
-        let rep_none = report("perf", vec![perf_row("nodes=600", "hvdb-shared", 9e6, 8e6)]);
-        let doc = validate_report_str(&rep_none).unwrap();
-        assert!(check_perf_gate(&doc, 2.0).is_err());
     }
 
     fn threads_row(threads: u64, eps: f64, events: f64, hw: f64) -> Row {

@@ -1,23 +1,21 @@
 //! Micro-benchmarks for the engine's delivery hot path (vendored
 //! criterion harness — wall-clock mean/min, comparable run-to-run):
 //!
-//! * `neighbors_into` — scratch-threaded spatial query vs the preserved
-//!   legacy allocate-and-sort-per-call path;
-//! * `broadcast_round` — one full broadcast fan-out through the event
-//!   loop (send → queue → per-receiver dispatch), shared `DeliverMany`
-//!   vs legacy per-receiver clone events;
+//! * `neighbors_into` — the scratch-threaded spatial neighbour query;
+//! * `broadcast_round` — one bounded gossip wave through the event loop
+//!   (send → one shared `DeliverMany` per broadcast → per-receiver
+//!   dispatch);
 //! * `mobility_tick` — the incremental spatial-index update under a
 //!   whole-population waypoint step;
 //! * `class_counters` — per-transmission stats accounting: interned
 //!   class-id slots vs the old string-keyed hash maps;
 //! * `commit_pass` — the parallel engine's window commit: Tx ops
 //!   pre-folded into per-shard digests, then shard outboxes merged by
-//!   dispatch key onto the heap + bulk counter applies, vs the legacy
-//!   serial fold (one heap push and one `count_tx` per event).
+//!   dispatch key onto the heap + bulk counter applies.
 //!
 //! Run with `cargo bench -p hvdb-sim`.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hvdb_geo::Aabb;
 use hvdb_sim::event::Scheduled;
 use hvdb_sim::{
@@ -53,14 +51,6 @@ fn bench_neighbors(c: &mut Criterion) {
             black_box(out.len())
         })
     });
-    group.bench_function("legacy_alloc", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % NODES as u32;
-            world.neighbors_into_legacy(NodeId(i), &mut out);
-            black_box(out.len())
-        })
-    });
     group.finish();
 }
 
@@ -90,25 +80,22 @@ impl Protocol for Gossip {
 fn bench_broadcast_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("broadcast_round");
     group.sample_size(20);
-    for (label, legacy) in [("shared", false), ("per_receiver_clone", true)] {
-        group.bench_with_input(BenchmarkId::new("mode", label), &legacy, |b, &legacy| {
-            b.iter(|| {
-                let side = (NODES as f64 * 8533.0).sqrt();
-                let cfg = SimConfig {
-                    area: Aabb::from_size(side, side),
-                    num_nodes: NODES,
-                    mobility_tick: SimDuration::ZERO,
-                    per_receiver_delivery: legacy,
-                    ..SimConfig::default()
-                };
-                let mut sim: Simulator<u32> =
-                    Simulator::new(cfg, Box::new(RandomWaypoint::new(1.0, 5.0, 10.0)));
-                let mut p = Gossip;
-                sim.run(&mut p, SimTime::from_secs(5));
-                black_box(sim.stats().events_processed)
-            })
-        });
-    }
+    group.bench_function("shared", |b| {
+        b.iter(|| {
+            let side = (NODES as f64 * 8533.0).sqrt();
+            let cfg = SimConfig {
+                area: Aabb::from_size(side, side),
+                num_nodes: NODES,
+                mobility_tick: SimDuration::ZERO,
+                ..SimConfig::default()
+            };
+            let mut sim: Simulator<u32> =
+                Simulator::new(cfg, Box::new(RandomWaypoint::new(1.0, 5.0, 10.0)));
+            let mut p = Gossip;
+            sim.run(&mut p, SimTime::from_secs(5));
+            black_box(sim.stats().events_processed)
+        })
+    });
     group.finish();
 }
 
@@ -285,33 +272,6 @@ fn bench_commit_pass(c: &mut Criterion) {
         })
     });
 
-    // The pre-digest fold: the serial barrier walks every shard's outbox
-    // one event at a time — one seq stamp + heap push per event, one
-    // interning `count_tx` per transmission.
-    group.bench_function("legacy_serial_fold", |b| {
-        b.iter(|| {
-            let mut queue: EventQueue<u64> = EventQueue::new();
-            let mut stats = Stats::new(NODES);
-            for (events, txs) in &fixture {
-                for &(time, tag) in events {
-                    queue.push(
-                        time,
-                        EventKind::Timer {
-                            node: NodeId((tag % NODES as u64) as u32),
-                            tag,
-                        },
-                    );
-                }
-                for &(node, class, bytes) in txs {
-                    stats.count_tx(NodeId(node), class, bytes as usize);
-                }
-            }
-            while let Some(ev) = queue.pop() {
-                black_box(ev.time);
-            }
-            black_box(stats.events_processed)
-        })
-    });
     group.finish();
 }
 

@@ -222,7 +222,6 @@ pub trait ParProtocol: Sync {
 struct Counters {
     events_processed: u64,
     frames_shared: u64,
-    frames_cloned: u64,
     drops_out_of_range: u64,
     drops_loss: u64,
     drops_dead: u64,
@@ -242,7 +241,6 @@ impl Counters {
     fn fold_into(&mut self, stats: &mut Stats) {
         stats.events_processed += self.events_processed;
         stats.frames_shared += self.frames_shared;
-        stats.frames_cloned += self.frames_cloned;
         stats.drops_out_of_range += self.drops_out_of_range;
         stats.drops_loss += self.drops_loss;
         stats.drops_dead += self.drops_dead;
@@ -309,7 +307,6 @@ fn dispatch_key(rank: u32, node: NodeId) -> u64 {
 struct Env<'a> {
     world: &'a World,
     radio: &'a RadioConfig,
-    per_receiver: bool,
     /// Node index -> (shard index, slot index within shard).
     map: &'a [(u32, u32)],
 }
@@ -490,7 +487,6 @@ impl<N: Send, M: Clone + Send> Shard<N, M> {
             key: dispatch_key(rank, *id),
             world: env.world,
             radio: env.radio,
-            per_receiver: env.per_receiver,
             busy_until,
             rng,
             outbox: &mut self.outbox,
@@ -600,7 +596,6 @@ pub struct ParCtx<'a, M> {
     key: u64,
     world: &'a World,
     radio: &'a RadioConfig,
-    per_receiver: bool,
     busy_until: &'a mut SimTime,
     rng: &'a mut Rng64,
     outbox: &'a mut Vec<Scheduled<M>>,
@@ -701,11 +696,7 @@ impl<'a, M: Clone> ParCtx<'a, M> {
         f: impl FnOnce(&mut Self, &[NodeId]) -> R,
     ) -> R {
         let mut buf = std::mem::take(self.scratch);
-        if self.per_receiver {
-            self.world.neighbors_into_legacy(id, &mut buf);
-        } else {
-            self.world.neighbors_into(id, &mut buf, self.raw_scratch);
-        }
+        self.world.neighbors_into(id, &mut buf, self.raw_scratch);
         let r = f(self, &buf);
         buf.clear();
         *self.scratch = buf;
@@ -934,9 +925,8 @@ impl<'a, M: Clone> ParCtx<'a, M> {
     }
 
     /// Broadcast transmission from the dispatched node; semantics of
-    /// [`crate::Ctx::broadcast`] (shared-payload `DeliverMany`, or the
-    /// legacy per-receiver path under
-    /// [`SimConfig::per_receiver_delivery`]).
+    /// [`crate::Ctx::broadcast`] (one shared-payload `DeliverMany`, its
+    /// receiver lists taken from the shard's pool).
     pub fn broadcast(&mut self, from: NodeId, class: &'static str, bytes: usize, msg: M) -> usize {
         debug_assert_eq!(
             from, self.current,
@@ -959,12 +949,8 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             bytes,
         });
         let mut receivers = self.recv_pool.pop().unwrap_or_default();
-        if self.per_receiver {
-            self.world.neighbors_into_legacy(from, &mut receivers);
-        } else {
-            self.world
-                .neighbors_into(from, &mut receivers, self.raw_scratch);
-        }
+        self.world
+            .neighbors_into(from, &mut receivers, self.raw_scratch);
         // Partition gating before the loss draws (mirror of the serial
         // engine): cross-island receivers vanish without consuming RNG.
         if self.world.partitioned() {
@@ -985,61 +971,31 @@ impl<'a, M: Clone> ParCtx<'a, M> {
             }
         });
         let n = receivers.len();
-        let replay = self.replay_delay();
-        if self.per_receiver {
-            self.counters.frames_cloned += n as u64;
-            for i in 0..n {
-                let to = receivers[i];
-                self.emit(
-                    arrival,
-                    EventKind::Deliver {
-                        to,
-                        from,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            if let Some(delay) = replay {
-                self.counters.byzantine_replayed += n as u64;
-                self.counters.frames_cloned += n as u64;
-                for i in 0..n {
-                    let to = receivers[i];
-                    self.emit(
-                        arrival + delay,
-                        EventKind::Deliver {
-                            to,
-                            from,
-                            msg: msg.clone(),
-                        },
-                    );
-                }
-            }
-        } else if n > 0 {
-            if let Some(delay) = replay {
-                self.counters.byzantine_replayed += n as u64;
-                let mut dup = self.recv_pool.pop().unwrap_or_default();
-                dup.extend_from_slice(&receivers);
-                self.emit(
-                    arrival + delay,
-                    EventKind::DeliverMany {
-                        to: dup,
-                        from,
-                        msg: msg.clone(),
-                    },
-                );
-            }
+        if n == 0 {
+            self.recv_pool.push(receivers);
+            return 0;
+        }
+        if let Some(delay) = self.replay_delay() {
+            self.counters.byzantine_replayed += n as u64;
+            let mut dup = self.recv_pool.pop().unwrap_or_default();
+            dup.extend_from_slice(&receivers);
             self.emit(
-                arrival,
+                arrival + delay,
                 EventKind::DeliverMany {
-                    to: receivers,
+                    to: dup,
                     from,
-                    msg,
+                    msg: msg.clone(),
                 },
             );
-            return n;
         }
-        receivers.clear();
-        self.recv_pool.push(receivers);
+        self.emit(
+            arrival,
+            EventKind::DeliverMany {
+                to: receivers,
+                from,
+                msg,
+            },
+        );
         n
     }
 
@@ -1451,28 +1407,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         }
     }
 
-    /// Back-compat shim: schedules a fail-stop fault at `node`. New
-    /// code should build a [`FaultPlan`] and use
-    /// [`ParSimulator::inject`] / [`ParSimulator::inject_plan`].
-    #[deprecated(note = "build a FaultPlan and use inject/inject_plan")]
-    pub fn schedule_fail(&mut self, node: NodeId, at: SimTime) {
-        self.inject(FaultEvent {
-            at,
-            kind: FaultKind::Fail(node),
-        });
-    }
-
-    /// Back-compat shim: schedules a recovery of `node`. New code
-    /// should build a [`FaultPlan`] and use [`ParSimulator::inject`] /
-    /// [`ParSimulator::inject_plan`].
-    #[deprecated(note = "build a FaultPlan and use inject/inject_plan")]
-    pub fn schedule_recover(&mut self, node: NodeId, at: SimTime) {
-        self.inject(FaultEvent {
-            at,
-            kind: FaultKind::Recover(node),
-        });
-    }
-
     /// Partitions nodes into shards by spatial cell: distinct cell keys
     /// are sorted and round-robined over the shard count, so spatially
     /// coherent nodes share a shard and the assignment is a pure function
@@ -1591,7 +1525,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         let env = Env {
             world: &self.world,
             radio: &self.cfg.radio,
-            per_receiver: self.cfg.per_receiver_delivery,
             map: &self.node_map,
         };
         let active = self.active.as_slice();
@@ -1767,7 +1700,6 @@ impl<N: Send, M: Clone + Send> ParSimulator<N, M> {
         let env = Env {
             world: &self.world,
             radio: &self.cfg.radio,
-            per_receiver: self.cfg.per_receiver_delivery,
             map: &self.node_map,
         };
         Self::activate(&mut self.shards, &mut self.active, s)
@@ -2001,7 +1933,6 @@ mod tests {
             mobility_tick: SimDuration::ZERO,
             enhanced_fraction: 1.0,
             seed,
-            per_receiver_delivery: false,
             compact_delivery: false,
         }
     }

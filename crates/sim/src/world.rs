@@ -345,28 +345,6 @@ impl World {
         out
     }
 
-    /// The pre-zero-copy neighbour query, preserved verbatim for the
-    /// `perf` scenario's legacy arm: allocates (and sorts) a fresh
-    /// candidate buffer on every call, exactly as every broadcast and
-    /// geo-forwarding decision used to. Results are identical to
-    /// [`World::neighbors_into`].
-    pub fn neighbors_into_legacy(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        if !self.alive[id.idx()] {
-            return;
-        }
-        let mut raw = Vec::new();
-        self.index
-            .query_range_into(self.pos[id.idx()], self.radio_range, &mut raw);
-        raw.sort_unstable();
-        for other in raw {
-            let oid = NodeId(other);
-            if oid != id && self.alive[oid.idx()] {
-                out.push(oid);
-            }
-        }
-    }
-
     /// Collects all alive nodes within `radius` of a point into `out`
     /// (cleared first), ascending id order. Like
     /// [`World::neighbors_into`], `raw` is caller-threaded query scratch —
