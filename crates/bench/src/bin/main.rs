@@ -5,7 +5,7 @@
 //! hvdb-bench run <scenario>... [--smoke] [--seeds 1,2,3] [--out-dir DIR]
 //! hvdb-bench run --all [--smoke] [--out-dir DIR]
 //! hvdb-bench run ... [--trace-out PATH] [--trace-filter CATS]
-//! hvdb-bench validate <file>... [--loss-floor F]
+//! hvdb-bench validate <file>... [--baseline-dir DIR]
 //! hvdb-bench explain <report.json>
 //! ```
 //!
@@ -13,23 +13,22 @@
 //! `BENCH_<scenario>.json` (uniform rows: sweep axis, point label,
 //! protocol, named metrics) into the output directory (default: the
 //! current directory), building the perf trajectory PR over PR. Every
-//! written report is immediately re-validated against the strict schema;
-//! `run` exits nonzero if any scenario's report fails (after finishing
-//! the remaining scenarios). `validate` checks committed/artifact
-//! reports and applies the `loss` scenario's delivery-floor regression
-//! gate. `--trace-out` additionally records a structured-trace +
-//! profiler run of the paper geometry on the parallel engine and writes
-//! it as a Chrome trace-event (Perfetto-loadable) document. `explain`
-//! prints a human post-mortem of one report: gates at default floors,
-//! fault counters, timeline inflections and the profiler's phase split.
+//! written report is immediately re-validated against the strict schema
+//! (which includes the `partition` timeline cross-check); `run` exits
+//! nonzero if any scenario's report fails (after finishing the remaining
+//! scenarios). `validate` checks committed/artifact reports against the
+//! schema and every row of the gate table (`hvdb_bench::GATES`) that
+//! applies to their scenario. `--trace-out` additionally records a
+//! structured-trace + profiler run of the paper geometry on the parallel
+//! engine and writes it as a Chrome trace-event (Perfetto-loadable)
+//! document. `explain` prints a human post-mortem of one report: one
+//! PASS/FAIL line per gate row, fault counters, timeline inflections and
+//! the profiler's phase split.
 
 use hvdb_bench::scenario::{find, registry, run_scenario, RunOpts, ScenarioDef};
 use hvdb_bench::{
-    check_byzantine_gate, check_loss_floor, check_loss_high_band, check_overhead_gate,
-    check_partition_gate, check_partition_timeline, check_perf_threads_gate, check_scale_gate,
-    check_traffic_gate, check_trajectory, gated_metrics, run_par_hvdb_traced, validate_report_str,
-    Json, ScenarioReport, Workload, LOSS_DELIVERY_FLOOR, PERF_THREADS_SPEEDUP_FLOOR,
-    TRAFFIC_P99_REFERENCE_POINT, TRAJECTORY_DELIVERY_TOLERANCE, TRAJECTORY_OVERHEAD_TOLERANCE,
+    check_gates, check_partition_timeline, check_trajectory, run_par_hvdb_traced, scenario_of,
+    validate_report_str, Json, ScenarioReport, Workload, GATES,
 };
 use std::process::ExitCode;
 
@@ -64,108 +63,60 @@ fn usage() {
         "  hvdb-bench run --all        [--smoke] [--seeds 1,2,3] [--threads N] [--out-dir DIR]"
     );
     eprintln!("  hvdb-bench run ...          [--trace-out PATH] [--trace-filter CATS]");
-    eprintln!("  hvdb-bench validate <file>... [--loss-floor F] [--threads-floor F]");
-    eprintln!("                                [--baseline-dir DIR]");
-    eprintln!("                                [--delivery-tolerance F] [--overhead-tolerance F]");
+    eprintln!("  hvdb-bench validate <file>... [--baseline-dir DIR]");
     eprintln!("  hvdb-bench explain <report.json>");
     eprintln!();
     eprintln!("`list --json` emits the machine-readable registry (name, figure,");
-    eprintln!("summary, gated metrics) for tooling and the CI job matrix.");
+    eprintln!("summary, gate rows, gated metrics) for tooling and the CI job matrix.");
     eprintln!("`run --trace-out PATH` additionally runs the paper geometry on the");
     eprintln!("parallel engine with the structured trace and profiler enabled and");
     eprintln!("writes a Chrome trace-event document (open in Perfetto / about:tracing);");
     eprintln!("--trace-filter narrows categories (comma-separated");
     eprintln!("election,soft-state,fault,flow; default all).");
-    eprintln!("`explain` prints a human post-mortem of one report: gates at default");
-    eprintln!("floors, fault counters, timeline inflections, profiler phase split.");
-    eprintln!();
-    eprintln!("Writes BENCH_<scenario>.json per scenario; see `list` for names.");
-    eprintln!("`validate` schema-checks report files. Scenario-specific gates:");
-    eprintln!("\"loss\" must clear the worst-seed delivery floor (default");
-    eprintln!("{LOSS_DELIVERY_FLOOR}) at 15% frame loss; \"overhead\" must show the quiet-phase");
-    eprintln!("adaptive-refresh improvement and stay under the frames/s ceiling;");
-    eprintln!("\"perf\"'s engine-threads arm must keep events_processed identical across thread");
-    eprintln!("counts and — on machines with >= 4 hardware threads — clear the");
-    eprintln!("--threads-floor speedup (default {PERF_THREADS_SPEEDUP_FLOOR}).");
     eprintln!("`run --threads N` sets the worker-thread count of parallel-engine");
     eprintln!("arms (default 1); it is recorded in every report and cannot change");
-    eprintln!("deterministic metrics. \"scale\" must keep events_processed identical");
-    eprintln!("across its engine-threads arm, and full (non-smoke) runs must hold");
-    eprintln!("delivery at the largest network size (the 100k campaign gate).");
-    eprintln!("\"partition\" must keep worst-seed reachable delivery above the");
-    eprintln!("floor during the split and re-merge the head hierarchy within the");
-    eprintln!("budget after the heal; \"byzantine\" must bound the worst per-node");
-    eprintln!("delivery damage across its k sweep (full runs only for both).");
-    eprintln!("With --baseline-dir, every report is additionally compared against");
-    eprintln!("the committed BENCH_<scenario>.json in DIR: delivery may regress at");
-    eprintln!("most --delivery-tolerance (default {TRAJECTORY_DELIVERY_TOLERANCE}) and overhead metrics may grow");
-    eprintln!("at most --overhead-tolerance (default {TRAJECTORY_OVERHEAD_TOLERANCE}).");
+    eprintln!("deterministic metrics.");
+    eprintln!();
+    eprintln!("Writes BENCH_<scenario>.json per scenario; see `list` for names.");
+    eprintln!("`validate` schema-checks report files and enforces every gate row that");
+    eprintln!("applies to their scenario; `list --json` prints the gate table and");
+    eprintln!("`explain` prints one PASS/FAIL line per row. With --baseline-dir, every");
+    eprintln!("report is also compared against the committed BENCH_<scenario>.json in");
+    eprintln!("DIR: delivery may regress at most 10%, overhead metrics grow at most 15%.");
 }
 
-fn validate(args: &[String]) -> ExitCode {
-    let mut files: Vec<String> = Vec::new();
-    let mut floor = LOSS_DELIVERY_FLOOR;
-    let mut threads_floor = PERF_THREADS_SPEEDUP_FLOOR;
-    let mut baseline_dir: Option<String> = None;
-    let mut delivery_tol = TRAJECTORY_DELIVERY_TOLERANCE;
-    let mut overhead_tol = TRAJECTORY_OVERHEAD_TOLERANCE;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--loss-floor" => {
-                i += 1;
-                match args.get(i).and_then(|f| f.parse::<f64>().ok()) {
-                    Some(f) if (0.0..=1.0).contains(&f) => floor = f,
-                    _ => {
-                        eprintln!("--loss-floor needs a number in [0, 1]");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--threads-floor" => {
-                i += 1;
-                match args.get(i).and_then(|f| f.parse::<f64>().ok()) {
-                    Some(f) if f > 0.0 && f.is_finite() => threads_floor = f,
-                    _ => {
-                        eprintln!("--threads-floor needs a positive number");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
+/// Parses `validate`'s arguments into the report files and the optional
+/// `--baseline-dir`; any other `--flag` is an error, not a file name.
+fn parse_validate_args(args: &[String]) -> Result<(Vec<String>, Option<String>), String> {
+    let (mut files, mut baseline_dir) = (Vec::new(), None);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--baseline-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => baseline_dir = Some(dir.clone()),
-                    None => {
-                        eprintln!("--baseline-dir needs a path");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                baseline_dir = Some(args.next().ok_or("--baseline-dir needs a path")?.clone())
             }
-            flag @ ("--delivery-tolerance" | "--overhead-tolerance") => {
-                i += 1;
-                match args.get(i).and_then(|f| f.parse::<f64>().ok()) {
-                    Some(f) if (0.0..=1.0).contains(&f) => {
-                        if flag == "--delivery-tolerance" {
-                            delivery_tol = f;
-                        } else {
-                            overhead_tol = f;
-                        }
-                    }
-                    _ => {
-                        eprintln!("{flag} needs a number in [0, 1]");
-                        return ExitCode::FAILURE;
-                    }
-                }
+            flag if flag.starts_with("--") => {
+                return Err(format!(
+                    "unknown validate flag: {flag} (only --baseline-dir DIR)"
+                ))
             }
             file => files.push(file.to_string()),
         }
-        i += 1;
     }
     if files.is_empty() {
-        eprintln!("validate needs at least one report file");
-        return ExitCode::FAILURE;
+        return Err("validate needs at least one report file".into());
     }
+    Ok((files, baseline_dir))
+}
+
+fn validate(args: &[String]) -> ExitCode {
+    let (files, baseline_dir) = match parse_validate_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut failures = 0u32;
     for file in &files {
         let doc = match std::fs::read_to_string(file)
@@ -179,42 +130,37 @@ fn validate(args: &[String]) -> ExitCode {
                 continue;
             }
         };
-        let mut notes: Vec<String> = Vec::new();
-        let mut fails: Vec<String> = Vec::new();
-        let floors = GateFloors {
-            loss: floor,
-            threads: threads_floor,
-        };
-        scenario_gates(&doc, &floors, &mut notes, &mut fails);
+        // Every applicable gate runs, so a failing report lists *all*
+        // broken gates instead of stopping at the first.
+        let mut verdicts = check_gates(&doc);
         if let Some(dir) = &baseline_dir {
-            let trajectory = (|| {
-                let scenario =
-                    scenario_name(&doc).ok_or_else(|| "report has no scenario name".to_string())?;
-                let base_path = format!("{dir}/BENCH_{scenario}.json");
+            verdicts.push((|| {
+                let base_path = format!("{dir}/BENCH_{}.json", scenario_of(&doc));
                 // A gate that cannot find its baseline must fail, not
                 // silently wave the candidate through.
                 let base_text = std::fs::read_to_string(&base_path)
                     .map_err(|e| format!("cannot read baseline {base_path}: {e}"))?;
                 let baseline = validate_report_str(&base_text)
                     .map_err(|e| format!("baseline {base_path} invalid: {e}"))?;
-                let rows = check_trajectory(&doc, &baseline, delivery_tol, overhead_tol)?;
-                Ok(vec![format!(
+                let rows = check_trajectory(&doc, &baseline)?;
+                Ok(format!(
                     "trajectory ok vs {base_path} ({} checks)",
                     rows.len()
-                )])
-            })();
-            run_gate(trajectory, &mut notes, &mut fails);
+                ))
+            })());
         }
-        if !fails.is_empty() {
+        let fails: Vec<&String> = verdicts.iter().filter_map(|v| v.as_ref().err()).collect();
+        if fails.is_empty() {
+            println!("{file}: ok");
+            for note in verdicts.iter().flatten() {
+                println!("  PASS {note}");
+            }
+        } else {
             eprintln!("{file}: FAIL ({} gate(s)):", fails.len());
-            for f in &fails {
+            for f in fails {
                 eprintln!("  - {f}");
             }
             failures += 1;
-        } else if notes.is_empty() {
-            println!("{file}: ok");
-        } else {
-            println!("{file}: ok ({})", notes.join("; "));
         }
     }
     if failures > 0 {
@@ -225,142 +171,40 @@ fn validate(args: &[String]) -> ExitCode {
     }
 }
 
-fn scenario_name(doc: &hvdb_bench::Json) -> Option<String> {
-    let hvdb_bench::Json::Obj(fields) = doc else {
-        return None;
-    };
-    fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-        ("scenario", hvdb_bench::Json::Str(s)) => Some(s.clone()),
-        _ => None,
-    })
-}
-
-/// Floors the scenario gates run at (`validate` parses overrides;
-/// `explain` uses the committed defaults).
-struct GateFloors {
-    loss: f64,
-    threads: f64,
-}
-
-impl Default for GateFloors {
-    fn default() -> Self {
-        GateFloors {
-            loss: LOSS_DELIVERY_FLOOR,
-            threads: PERF_THREADS_SPEEDUP_FLOOR,
-        }
-    }
-}
-
-/// Runs one gate, folding its passed-check notes or its failure message
-/// into the per-file tallies: every applicable gate runs, so a failing
-/// report lists *all* broken gates (with expected vs actual) instead of
-/// stopping at the first.
-fn run_gate(res: Result<Vec<String>, String>, notes: &mut Vec<String>, fails: &mut Vec<String>) {
-    match res {
-        Ok(mut n) => notes.append(&mut n),
-        Err(e) => fails.push(e),
-    }
-}
-
-/// Every CI gate applicable to `doc`'s scenario, at the given floors —
-/// the one list `validate` enforces and `explain` narrates.
-fn scenario_gates(
-    doc: &Json,
-    floors: &GateFloors,
-    notes: &mut Vec<String>,
-    fails: &mut Vec<String>,
-) {
-    let (floor, threads_floor) = (floors.loss, floors.threads);
-    match scenario_name(doc).as_deref() {
-        Some("loss") => {
-            run_gate(
-                check_loss_floor(doc, floor)
-                    .map(|worst| vec![format!("worst-seed delivery {worst:.3} >= {floor}")]),
-                notes,
-                fails,
-            );
-            run_gate(
-                check_loss_high_band(doc).map(|band| {
-                    band.into_iter()
-                        .map(|(point, w)| format!("{point} worst {w:.3}"))
-                        .collect()
-                }),
-                notes,
-                fails,
-            );
-        }
-        Some("overhead") => {
-            run_gate(
-                check_overhead_gate(doc).map(|(ratio, total)| {
-                    vec![format!(
-                        "quiet-phase refresh improvement {ratio:.2}x, {total:.0} control frames/s"
-                    )]
-                }),
-                notes,
-                fails,
-            );
-        }
-        Some("perf") => {
-            run_gate(
-                check_perf_threads_gate(doc, threads_floor).map(|(tlabel, tspeedup, enforced)| {
-                    vec![if enforced {
-                        format!(
-                            "parallel engine {tspeedup:.2}x at {tlabel} (floor {threads_floor}), identical event counts"
-                        )
-                    } else {
-                        format!(
-                            "parallel engine {tspeedup:.2}x at {tlabel} (speedup floor waived: < 4 hardware threads), identical event counts"
-                        )
-                    }]
-                }),
-                notes,
-                fails,
-            );
-        }
-        Some("traffic") => {
-            run_gate(
-                check_traffic_gate(doc).map(|(knee, p99)| {
-                    vec![format!(
-                        "hvdb sustains {knee:.0} pps past both baselines' knees, \
-                         p99 {p99:.1} ms at {TRAFFIC_P99_REFERENCE_POINT}"
-                    )]
-                }),
-                notes,
-                fails,
-            );
-        }
-        Some("scale") => run_gate(check_scale_gate(doc), notes, fails),
-        Some("partition") => run_gate(check_partition_gate(doc), notes, fails),
-        Some("byzantine") => run_gate(check_byzantine_gate(doc), notes, fails),
-        _ => {}
-    }
+/// `list --json`: the registry, each scenario with its rows of the gate
+/// table and the metrics those rows read.
+fn registry_json() -> Json {
+    let strs = |items: Vec<String>| Json::Arr(items.into_iter().map(Json::Str).collect());
+    Json::Arr(
+        registry()
+            .iter()
+            .map(|def| {
+                let gates: Vec<_> = GATES.iter().filter(|g| g.scenario == def.name).collect();
+                let mut metrics: Vec<String> = Vec::new();
+                for m in gates.iter().flat_map(|g| g.reads()) {
+                    if !metrics.iter().any(|seen| seen == m) {
+                        metrics.push(m.into());
+                    }
+                }
+                Json::Obj(vec![
+                    ("name".into(), Json::Str(def.name.into())),
+                    ("figure".into(), Json::Str(def.figure.into())),
+                    ("summary".into(), Json::Str(def.summary.into())),
+                    (
+                        "gates".into(),
+                        strs(gates.iter().map(|g| g.to_string()).collect()),
+                    ),
+                    ("gated_metrics".into(), strs(metrics)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 fn list(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
         Some("--json") => {
-            let doc = Json::Arr(
-                registry()
-                    .iter()
-                    .map(|def| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(def.name.into())),
-                            ("figure".into(), Json::Str(def.figure.into())),
-                            ("summary".into(), Json::Str(def.summary.into())),
-                            (
-                                "gated_metrics".into(),
-                                Json::Arr(
-                                    gated_metrics(def.name)
-                                        .iter()
-                                        .map(|m| Json::Str((*m).into()))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            );
-            println!("{doc}");
+            println!("{}", registry_json());
             ExitCode::SUCCESS
         }
         None => {
@@ -378,7 +222,7 @@ fn list(args: &[String]) -> ExitCode {
 }
 
 /// `hvdb-bench explain <report.json>`: a human post-mortem of one
-/// report. Narrates what `validate` would enforce (at default floors)
+/// report. Narrates what `validate` enforces (one line per gate row)
 /// plus everything the observability plane recorded: fault counters,
 /// timeline inflection points, and the profiler's phase split. Exits
 /// nonzero only if the file is unreadable or fails the schema — gate
@@ -398,56 +242,44 @@ fn explain(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Json::Obj(fields) = &doc else {
-        unreachable!("validated report is an object");
-    };
-    let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let scenario = scenario_name(&doc).unwrap_or_default();
-    let smoke = matches!(get("smoke"), Some(Json::Bool(true)));
+    let scenario = scenario_of(&doc);
+    let smoke = matches!(doc.get("smoke"), Some(Json::Bool(true)));
     println!(
         "# {scenario}{} — {}",
         if smoke { " [smoke]" } else { "" },
-        match get("summary") {
+        match doc.get("summary") {
             Some(Json::Str(s)) => s.as_str(),
             _ => "",
         }
     );
 
-    println!("## gates (default floors)");
-    let mut notes = Vec::new();
-    let mut fails = Vec::new();
-    scenario_gates(&doc, &GateFloors::default(), &mut notes, &mut fails);
-    for n in &notes {
-        println!("  PASS {n}");
+    println!("## gates");
+    let verdicts = check_gates(&doc);
+    for verdict in &verdicts {
+        match verdict {
+            Ok(note) => println!("  PASS {note}"),
+            Err(reason) => println!("  FAIL {reason}"),
+        }
     }
-    for f in &fails {
-        println!("  FAIL {f}");
-    }
-    if notes.is_empty() && fails.is_empty() {
+    if verdicts.is_empty() {
         println!("  (no scenario-specific gates; schema check only)");
     }
 
     // Fault counters, totalled across rows wherever a scenario recorded
     // them as metrics.
-    let mut counters: Vec<(&str, f64)> = Vec::new();
-    if let Some(Json::Arr(rows)) = get("rows") {
-        for row in rows {
-            let Json::Obj(rf) = row else { continue };
-            let Some((_, Json::Obj(metrics))) = rf.iter().find(|(k, _)| k == "metrics") else {
-                continue;
-            };
-            for (k, v) in metrics {
-                let Some(name) = FAULT_COUNTER_METRICS.iter().find(|m| **m == k.as_str()) else {
-                    continue;
-                };
-                let Json::Num(n) = v else { continue };
-                match counters.iter_mut().find(|(c, _)| c == name) {
-                    Some((_, total)) => *total += n,
-                    None => counters.push((name, *n)),
-                }
-            }
-        }
-    }
+    let rows = match doc.get("rows") {
+        Some(Json::Arr(rows)) => rows.as_slice(),
+        _ => &[],
+    };
+    let metrics = rows.iter().filter_map(|row| match row.get("metrics") {
+        Some(Json::Obj(metrics)) => Some(metrics),
+        _ => None,
+    });
+    let counters = fault_totals(
+        metrics
+            .flatten()
+            .filter_map(|(k, v)| Some((k.as_str(), v.num()?))),
+    );
     if !counters.is_empty() {
         println!("## fault counters (summed over rows)");
         for (k, v) in &counters {
@@ -455,33 +287,17 @@ fn explain(args: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(Json::Obj(tf)) = get("timeline") {
-        let tget = |key: &str| {
-            tf.iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| match v {
-                    Json::Num(n) => Some(*n),
-                    _ => None,
-                })
-        };
+    if let Some(tl) = doc.get("timeline") {
+        let tget = |key: &str| tl.get(key).and_then(Json::num);
         println!("## timeline");
-        if let (Some(interval), Some(Json::Arr(samples))) = (
-            tget("interval_secs"),
-            tf.iter().find(|(k, _)| k == "samples").map(|(_, v)| v),
-        ) {
+        if let (Some(interval), Some(Json::Arr(samples))) =
+            (tget("interval_secs"), tl.get("samples"))
+        {
             println!("  {} samples every {interval}s", samples.len());
             let series: Vec<(f64, f64)> = samples
                 .iter()
                 .filter_map(|s| {
-                    let Json::Obj(sf) = s else { return None };
-                    let num = |key: &str| {
-                        sf.iter()
-                            .find(|(k, _)| k == key)
-                            .and_then(|(_, v)| match v {
-                                Json::Num(n) => Some(*n),
-                                _ => None,
-                            })
-                    };
+                    let num = |key: &str| s.get(key).and_then(Json::num);
                     Some((num("t_secs")?, num("heads")?))
                 })
                 .collect();
@@ -512,24 +328,18 @@ fn explain(args: &[String]) -> ExitCode {
                 println!("  {key}={v}");
             }
         }
-        match check_partition_timeline(&doc) {
-            Ok(Some(derived)) => println!(
-                "  re-merge re-derived from the series: {derived:.3}s (matches probe measurement)"
-            ),
-            Ok(None) => {}
-            Err(e) => println!("  re-merge cross-check FAILED: {e}"),
+        // The schema check already enforced the cross-check.
+        if scenario == "partition" {
+            if let Ok(Some(derived)) = check_partition_timeline(&doc) {
+                println!(
+                    "  re-merge re-derived from the series: {derived:.3}s (matches probe measurement)"
+                );
+            }
         }
     }
 
-    if let Some(Json::Obj(pf)) = get("profile") {
-        let pget = |key: &str| {
-            pf.iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| match v {
-                    Json::Num(n) => Some(*n),
-                    _ => None,
-                })
-        };
+    if let Some(pf) = doc.get("profile") {
+        let pget = |key: &str| pf.get(key).and_then(Json::num);
         println!("## engine profile (wall-clock, non-deterministic)");
         if let (Some(drain), Some(commit), Some(barrier)) = (
             pget("drain_secs"),
@@ -563,7 +373,7 @@ fn explain(args: &[String]) -> ExitCode {
                 per_window("active_shards")
             );
         }
-        if let Some((_, Json::Arr(lanes))) = pf.iter().find(|(k, _)| k == "lane_busy_secs") {
+        if let Some(Json::Arr(lanes)) = pf.get("lane_busy_secs") {
             println!("  lanes={}", lanes.len());
         }
     }
@@ -578,6 +388,22 @@ const FAULT_COUNTER_METRICS: [&str; 4] = [
     "byzantine_replayed",
     "drops_queue_full",
 ];
+
+/// Sums the [`FAULT_COUNTER_METRICS`] among `(metric, value)` pairs, in
+/// order of first appearance.
+fn fault_totals<'a>(metrics: impl Iterator<Item = (&'a str, f64)>) -> Vec<(&'static str, f64)> {
+    let mut totals: Vec<(&'static str, f64)> = Vec::new();
+    for (k, v) in metrics {
+        let Some(&name) = FAULT_COUNTER_METRICS.iter().find(|m| **m == k) else {
+            continue;
+        };
+        match totals.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, total)) => *total += v,
+            None => totals.push((name, v)),
+        }
+    }
+    totals
+}
 
 /// Parsed form of `hvdb-bench run`'s arguments, separated from the
 /// side-effecting run loop so flag handling is unit-testable.
@@ -860,17 +686,8 @@ fn print_report(report: &ScenarioReport) {
     }
     // Fault-plane counters, totalled across rows: visible on the console
     // at a glance instead of only inside the JSON metric maps.
-    let mut totals: Vec<(&str, f64)> = Vec::new();
-    for row in &report.rows {
-        for (k, v) in &row.metrics {
-            if let Some(name) = FAULT_COUNTER_METRICS.iter().find(|m| *m == k) {
-                match totals.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, total)) => *total += v,
-                    None => totals.push((name, *v)),
-                }
-            }
-        }
-    }
+    let metrics = report.rows.iter().flat_map(|row| &row.metrics);
+    let totals = fault_totals(metrics.map(|(k, v)| (k.as_str(), *v)));
     if !totals.is_empty() {
         let joined: Vec<String> = totals.iter().map(|(k, v)| format!("{k}={v:.0}")).collect();
         println!("## fault counters: {}", joined.join(" "));
@@ -879,7 +696,8 @@ fn print_report(report: &ScenarioReport) {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_run_args;
+    use super::{parse_run_args, parse_validate_args, registry_json};
+    use hvdb_bench::{Json, GATES};
 
     fn argv(raw: &[&str]) -> Vec<String> {
         raw.iter().map(|s| s.to_string()).collect()
@@ -948,5 +766,65 @@ mod tests {
         assert!(parse_run_args(&argv(&["--trace-out"])).is_err());
         assert!(parse_run_args(&argv(&["--trace-filter", "bogus"])).is_err());
         assert!(parse_run_args(&argv(&["--trace-filter"])).is_err());
+    }
+
+    #[test]
+    fn validate_takes_only_a_baseline_dir_flag() {
+        let (files, dir) =
+            parse_validate_args(&argv(&["a.json", "--baseline-dir", ".", "b.json"])).unwrap();
+        assert_eq!(files, vec!["a.json", "b.json"]);
+        assert_eq!(dir.as_deref(), Some("."));
+        for retired in ["--loss-floor", "--threads-floor", "--delivery-tolerance"] {
+            let err = parse_validate_args(&argv(&["a.json", retired, "0.9"])).unwrap_err();
+            assert!(err.contains("unknown validate flag"), "{err}");
+        }
+        assert!(parse_validate_args(&argv(&["a.json", "--baseline-dir"])).is_err());
+        assert!(parse_validate_args(&argv(&[])).is_err());
+    }
+
+    /// `list --json`'s gated metrics are exactly the metrics the gate
+    /// table reads, scenario by scenario.
+    #[test]
+    fn listed_gated_metrics_come_from_the_gate_table() {
+        let Json::Arr(entries) = registry_json() else {
+            panic!("registry is an array")
+        };
+        let strs = |v: Option<&Json>| match v {
+            Some(Json::Arr(items)) => items
+                .iter()
+                .map(|i| match i {
+                    Json::Str(s) => s.clone(),
+                    other => panic!("{other:?}"),
+                })
+                .collect::<Vec<_>>(),
+            other => panic!("{other:?}"),
+        };
+        let mut listed_rows = 0;
+        for entry in &entries {
+            let Some(Json::Str(name)) = entry.get("name") else {
+                panic!("{entry:?}")
+            };
+            let gates: Vec<_> = GATES.iter().filter(|g| g.scenario == name).collect();
+            let mut want: Vec<String> = gates
+                .iter()
+                .flat_map(|g| g.reads())
+                .map(String::from)
+                .collect();
+            want.sort();
+            want.dedup();
+            let mut got = strs(entry.get("gated_metrics"));
+            got.sort();
+            assert_eq!(got, want, "{name}");
+            assert_eq!(strs(entry.get("gates")).len(), gates.len(), "{name}");
+            listed_rows += gates.len();
+        }
+        // Every table row belongs to a registered scenario.
+        assert_eq!(listed_rows, GATES.len());
+        // The partition entry no longer lists a metric no gate reads.
+        let partition = entries
+            .iter()
+            .find(|e| matches!(e.get("name"), Some(Json::Str(n)) if n == "partition"))
+            .unwrap();
+        assert!(!strs(partition.get("gated_metrics")).contains(&"drops_partitioned".to_string()));
     }
 }

@@ -148,6 +148,23 @@ impl fmt::Display for Json {
 }
 
 impl Json {
+    /// The value of object field `key`; `None` for a missing key or a
+    /// non-object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is one.
+    pub fn num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     fn write_indented(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         match self {
             Json::Null => write!(f, "null"),

@@ -6,134 +6,48 @@
 //! parser (no trailing garbage, no bad escapes, no bare control chars),
 //! and [`validate_report_str`] layers the exact report schema on top —
 //! the six top-level fields with their types, every row fully typed,
-//! finite metrics only, no unknown keys. The CLI (`hvdb-bench validate`,
-//! and `run`'s post-write check) and the test suite share this code, so
-//! a malformed report can neither land in CI artifacts nor be committed
-//! unnoticed.
+//! finite metrics only, no unknown keys — plus the `partition` timeline
+//! cross-check ([`check_partition_timeline`]). The CLI (`hvdb-bench
+//! validate`, and `run`'s post-write check) and the test suite share
+//! this code, so a malformed report can neither land in CI artifacts nor
+//! be committed unnoticed.
 //!
-//! [`check_loss_floor`] is the robustness regression gate: the committed
-//! delivery floor for the `loss` scenario's worst seed at the
-//! [`LOSS_GATE_POINT`] operating point.
+//! The scenario gates are data: [`GATES`] is one table of [`Gate`] rows
+//! (scenario, sweep, point selector, arm, metric, [`Rule`]) and
+//! [`Gate::check`] is its one interpreter. `hvdb-bench validate`,
+//! `explain` and `list --json` all read that table. The comparison
+//! against a committed baseline ([`check_trajectory`]) stays a named
+//! function.
 
 use crate::report::Json;
-
-/// The committed robustness floor: worst-seed mean delivery of the `loss`
-/// scenario at [`LOSS_GATE_POINT`] must not drop below this (PR 1's
-/// baseline was ~0.65; the soft-state control plane lifts it above 0.90,
-/// and CI fails any change that regresses it).
-pub const LOSS_DELIVERY_FLOOR: f64 = 0.90;
-
-/// The `loss` sweep point the floor applies to (15% frame loss).
-pub const LOSS_GATE_POINT: &str = "loss=0.15";
-
-/// The committed floor band for the *high*-loss regime: worst-seed
-/// delivery at every [`LOSS_HIGH_POINTS`] point must stay at or above
-/// this (PR 3 measured 0.969 at 25% and 0.953 at 30%; the band keeps
-/// the whole ≥25% regime from silently eroding while the 15% point
-/// stays green).
-pub const LOSS_HIGH_FLOOR: f64 = 0.93;
-
-/// The `loss` sweep points gated by [`LOSS_HIGH_FLOOR`].
-pub const LOSS_HIGH_POINTS: [&str; 2] = ["loss=0.25", "loss=0.3"];
-
-/// The `perf` scenario's parallel-engine speedup floor: the
-/// `engine-threads` arm's multi-thread row must process events at least
-/// this many times faster than its single-thread row — *when the machine
-/// can actually run the threads* (see [`check_perf_threads_gate`]; on a
-/// box with fewer than 4 hardware threads only the determinism half of
-/// the gate is enforced, because a timesliced "speedup" measures nothing).
-pub const PERF_THREADS_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// The `overhead` scenario's gated operating point: the quiet phase (no
-/// membership churn), where the adaptive refresh controller must earn
-/// its keep.
-pub const OVERHEAD_QUIET_POINT: &str = "churn=0";
-
-/// Quiet-phase improvement floor: the fixed-rate baseline's
-/// refresh-plane frames/s divided by the adaptive controller's must be
-/// at least this (the committed run measures ~3.2x; the gate keeps the
-/// headline ≥2x claim honest).
-pub const OVERHEAD_QUIET_IMPROVEMENT: f64 = 2.0;
-
-/// Absolute ceiling on the adaptive controller's quiet-phase *total*
-/// control frames/s on the `overhead` workload (committed run: ~719;
-/// the PR 2 fixed rate burned ~1132). Fails any change that quietly
-/// re-inflates the control plane even if the relative gate still passes.
-pub const OVERHEAD_CEILING_FRAMES_PER_S: f64 = 900.0;
-
-/// The `traffic` scenario's knee rule, delivery half: an offered-load
-/// point is *sustained* only while mean delivery stays at or above this.
-pub const TRAFFIC_KNEE_DELIVERY_FLOOR: f64 = 0.90;
-
-/// The `traffic` knee rule, latency half: an offered-load point whose
-/// p99 latency exceeds half a second is past the knee even if delivery
-/// has not collapsed yet (queues saturated; packets ride the cooldown
-/// out).
-pub const TRAFFIC_KNEE_P99_CEILING_MS: f64 = 500.0;
-
-/// Baselines HVDB must out-sustain in the `traffic` sweep.
-pub const TRAFFIC_BASELINE_PROTOS: [&str; 2] = ["flooding", "shared-tree"];
-
-/// The pre-knee operating point whose HVDB p99 latency is band-gated.
-pub const TRAFFIC_P99_REFERENCE_POINT: &str = "pps=160";
-
-/// Committed HVDB p99 band (ms) at [`TRAFFIC_P99_REFERENCE_POINT`]: the
-/// run is deterministic, so drift outside this band means the data path
-/// or the radio model changed. The committed run measures ~29 ms; the
-/// band gives 2x headroom either way for deliberate retuning.
-pub const TRAFFIC_P99_BAND_MS: (f64, f64) = (10.0, 60.0);
+use std::fmt;
 
 /// Bench-trajectory tolerance: a candidate row's `delivery` may fall at
 /// most this fraction below the committed baseline's.
-pub const TRAJECTORY_DELIVERY_TOLERANCE: f64 = 0.10;
+const TRAJECTORY_DELIVERY_TOLERANCE: f64 = 0.10;
 
 /// Bench-trajectory tolerance: a candidate row's overhead metrics
 /// ([`OVERHEAD_GATED_METRICS`]) may grow at most this fraction over the
 /// committed baseline's.
-pub const TRAJECTORY_OVERHEAD_TOLERANCE: f64 = 0.15;
+const TRAJECTORY_OVERHEAD_TOLERANCE: f64 = 0.15;
 
 /// The per-row metrics the trajectory comparison treats as overhead
 /// (lower is better, growth is gated). `memory_per_node_bytes` is the
 /// `scale` scenario's footprint column: deterministic content-byte
 /// estimates, so a growth past the band is a real per-node state
 /// regression, not allocator noise.
-pub const OVERHEAD_GATED_METRICS: [&str; 4] = [
+const OVERHEAD_GATED_METRICS: [&str; 4] = [
     "control_frames_per_s",
     "control_bytes_per_node",
     "refresh_frames_per_s",
     "memory_per_node_bytes",
 ];
 
-/// Minimum delivery ratio the `scale` scenario's largest parallel-engine
-/// point must sustain ([`check_scale_gate`]).
-pub const SCALE_DELIVERY_FLOOR: f64 = 0.99;
-
-/// The `scale` delivery gate applies from this node count up: the 100k
-/// scale campaign's first enforced milestone is "delivery holds at 20k".
-pub const SCALE_GATE_MIN_NODES: u64 = 20_000;
-
-/// The `partition` scenario's steady-state delivery floor *among
-/// reachable nodes*: once each island has had the settle interval to
-/// re-grow its half of the backbone, worst-seed delivery to receivers in
-/// the sender's own island must stay at or above this. Cross-island
-/// traffic is physically impossible during the split and is excluded —
-/// the gate asserts the protocol keeps serving whatever the radio still
-/// permits, per the paper's partition-tolerance claim. (The cut
-/// transient itself is reported as `delivery_reachable` but not gated:
-/// re-election takes tens of seconds by design.)
-pub const PARTITION_REACHABLE_DELIVERY_FLOOR: f64 = 0.95;
-
-/// The `partition` scenario's re-merge budget (seconds): after the heal,
-/// the worst seed's cluster-head census must fall back to its
-/// pre-partition level within this long (the committed full run measures
-/// re-merge in ~5 s; the budget gives soft-state expiry headroom).
-pub const PARTITION_REMERGE_BUDGET_SECS: f64 = 15.0;
-
-/// The `byzantine` scenario's damage ceiling: mean delivery lost per
-/// misbehaving node, `(delivery(k=0) - delivery(k)) / k`, must stay at
-/// or below this at every injected count k > 0. Bounds the blast radius
-/// of one adversarial node on the multicast plane.
-pub const BYZANTINE_DAMAGE_PER_NODE: f64 = 0.05;
+/// A [`Rule::Speedup`] floor is enforced only when the measured point
+/// runs at least this many worker threads on a machine reporting at
+/// least this many `hardware_threads`: on smaller machines the threads
+/// timeslice one core and the ratio measures scheduler noise.
+const SPEEDUP_MIN_THREADS: f64 = 4.0;
 
 /// Parses `input` as one strict JSON document (the whole string, no
 /// trailing garbage) into a [`Json`] value.
@@ -156,8 +70,9 @@ pub fn parse_strict(input: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Validates `input` as a complete scenario report: strict JSON plus the
-/// exact report schema. Returns the parsed document for further checks.
+/// Validates `input` as a complete scenario report: strict JSON, the
+/// exact report schema and, for `partition` reports, the timeline
+/// cross-check. Returns the parsed document for further checks.
 pub fn validate_report_str(input: &str) -> Result<Json, String> {
     let doc = parse_strict(input)?;
     validate_report(&doc)?;
@@ -187,7 +102,9 @@ fn as_str<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
 }
 
 /// Schema check of a parsed report document. Strict: every field typed,
-/// no unknown top-level or row keys, rows non-empty, metrics finite.
+/// no unknown top-level or row keys, rows non-empty, metrics finite. A
+/// `partition` report's timeline must also pass
+/// [`check_partition_timeline`], smoke and full alike.
 pub fn validate_report(doc: &Json) -> Result<(), String> {
     let fields = obj_fields(doc)?;
     // "workload", "timeline" and "profile" are the optional keys:
@@ -241,6 +158,9 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     }
     for (i, row) in rows.iter().enumerate() {
         validate_row(row).map_err(|e| format!("row {i}: {e}"))?;
+    }
+    if scenario == "partition" {
+        check_partition_timeline(doc).map_err(|e| format!("timeline cross-check: {e}"))?;
     }
     Ok(())
 }
@@ -389,31 +309,24 @@ fn validate_profile(v: &Json) -> Result<(), String> {
 /// "re-merge in 5 s" stops being a number the harness asserts and starts
 /// being a curve anyone can re-derive from the committed report.
 pub fn check_partition_timeline(doc: &Json) -> Result<Option<f64>, String> {
-    let fields = obj_fields(doc)?;
-    let Some((_, tl)) = fields.iter().find(|(k, _)| k == "timeline") else {
+    let Some(tl) = doc.get("timeline") else {
         return Ok(None);
     };
-    let tf = obj_fields(tl)?;
-    let num = |key: &str| -> Result<f64, String> {
-        match field(tf, key)? {
-            Json::Num(n) => Ok(*n),
-            other => Err(format!("timeline {key}: expected number, got {other:?}")),
-        }
+    let num = |v: &Json, key: &str| {
+        v.get(key)
+            .and_then(Json::num)
+            .ok_or_else(|| format!("timeline {key}: expected number"))
     };
-    let heal_at = num("heal_at_secs")?;
-    let target = num("heads_target")?;
-    let measured = num("remerge_secs_probe")?;
-    let Json::Arr(samples) = field(tf, "samples")? else {
+    let heal_at = num(tl, "heal_at_secs")?;
+    let target = num(tl, "heads_target")?;
+    let measured = num(tl, "remerge_secs_probe")?;
+    let Some(Json::Arr(samples)) = tl.get("samples") else {
         return Err("timeline samples: expected array".into());
     };
     let mut derived = None;
     for s in samples {
-        let sf = obj_fields(s)?;
-        let (Ok(Json::Num(t)), Ok(Json::Num(heads))) = (field(sf, "t_secs"), field(sf, "heads"))
-        else {
-            return Err("timeline sample missing t_secs/heads".into());
-        };
-        if *t > heal_at && *heads <= target {
+        let (t, heads) = (num(s, "t_secs")?, num(s, "heads")?);
+        if t > heal_at && heads <= target {
             derived = Some(t - heal_at);
             break;
         }
@@ -436,550 +349,446 @@ pub fn check_partition_timeline(doc: &Json) -> Result<Option<f64>, String> {
     Ok(Some(derived))
 }
 
-/// The metrics CI gates read for a given scenario, for tooling
-/// (`hvdb-bench list --json`) and the job matrix. Scenarios not listed
-/// here are schema-validated only.
-pub fn gated_metrics(scenario: &str) -> &'static [&'static str] {
-    match scenario {
-        "loss" => &["delivery_worst"],
-        "overhead" => &["refresh_frames_per_s", "control_frames_per_s"],
-        "perf" => &["events_per_s", "events_processed"],
-        "traffic" => &["delivery", "p99_ms"],
-        "scale" => &["delivery", "events_processed"],
-        "partition" => &[
-            "delivery_reachable_steady_worst",
-            "remerge_secs_worst",
-            "drops_partitioned",
-        ],
-        "byzantine" => &["damage_per_node"],
-        _ => &[],
+/// One CI gate over a scenario report: the rows it reads, the metric and
+/// the rule the metric must satisfy. Rows are listed in [`GATES`].
+#[derive(Debug)]
+pub struct Gate {
+    /// Scenario whose reports the gate applies to.
+    pub scenario: &'static str,
+    /// Sweep axis of the rows read.
+    pub sweep: &'static str,
+    /// Which points (row labels) of the sweep are read.
+    pub at: At,
+    /// Protocol arm of the rows read.
+    pub proto: &'static str,
+    /// The gated metric.
+    pub metric: &'static str,
+    /// How the selected values are aggregated and bounded.
+    pub rule: Rule,
+    /// What the gate does with a smoke report.
+    pub on_smoke: OnSmoke,
+}
+
+/// What a gate does with a smoke report, whose numbers come from a
+/// shrunken workload.
+#[derive(Debug)]
+pub enum OnSmoke {
+    /// Checks it like a full report.
+    Check,
+    /// Passes it unchecked: the row only means something on a full run.
+    Skip,
+    /// Fails it: the gate needs a full run's numbers.
+    Fail,
+}
+
+/// A gate's point selector. A gate whose points are missing fails.
+#[derive(Debug)]
+pub enum At {
+    /// Exactly these labels; each must be present.
+    Labels(&'static [&'static str]),
+    /// Every label `key=n` with `n >= min`; at least one must be present,
+    /// and every label of the arm must parse as `key=<number>`.
+    From(&'static str, f64),
+}
+
+/// How a gate aggregates its selected rows, and its bound.
+#[derive(Debug)]
+pub enum Rule {
+    /// Every selected value is at least this.
+    Min(f64),
+    /// Every selected value is at most this.
+    Max(f64),
+    /// At every selected point, the value divided by the `over` arm's
+    /// value of the same metric is at least `min`.
+    RatioMin {
+        /// The denominator arm.
+        over: &'static str,
+        /// The ratio floor.
+        min: f64,
+    },
+    /// The value is identical at every selected point; there must be at
+    /// least two, the selector's lowest point among them (the
+    /// determinism contract: thread count may change wall-clock only).
+    Equal,
+    /// The value at the highest point over the value at the selector's
+    /// lowest point is at least `smoke` (smoke reports) or `full`. The
+    /// floor is waived below 4 threads or 4 hardware threads; every row
+    /// must still carry both metrics.
+    Speedup {
+        /// Floor on smoke reports.
+        smoke: f64,
+        /// Floor on full reports.
+        full: f64,
+    },
+    /// Prefix knee: the highest point up to which every point keeps the
+    /// value at or above `min` and the `cap` metric at or below its
+    /// bound (a recovery past saturation cannot move it). The gate's
+    /// arm must knee strictly above every one of `arms`.
+    KneeAbove {
+        /// The arms to out-sustain.
+        arms: &'static [&'static str],
+        /// The sustained-point floor on the gated metric.
+        min: f64,
+        /// The second metric and its sustained-point ceiling.
+        cap: (&'static str, f64),
+    },
+}
+
+/// Every scenario gate CI enforces: `hvdb-bench validate` checks each
+/// row applicable to a report, `explain` prints one PASS/FAIL line per
+/// row, and `list --json` derives its `gated_metrics` from here.
+///
+/// * `loss`: worst-seed delivery under frame loss. PR 1 measured ~0.65
+///   at 15% loss; the soft-state control plane lifts it above 0.90, and
+///   PR 3 measured 0.969 and 0.953 at 25% and 30%.
+/// * `overhead`: in the quiet phase the fixed-rate baseline sends at
+///   least 2x the adaptive controller's refresh frames (committed
+///   ~3.2x), and adaptive total control traffic stays under 900
+///   frames/s (committed ~719; the PR 2 fixed rate burned ~1132).
+/// * `perf` and `scale`: thread count never changes `events_processed`.
+///   `perf`'s parallel flood must also speed up 2x (1.2x on the smaller
+///   smoke workload) where the machine has the cores to show it. On full
+///   reports every `scale` point from 20000 nodes up delivers at least
+///   0.99.
+/// * `traffic` (§5's load claim): HVDB sustains strictly more offered
+///   load than flooding and the shared tree (sustained: delivery >= 0.90
+///   and p99 <= 500 ms), and its pre-knee p99 at 160 pps stays inside
+///   the committed 10–60 ms band (committed ~29 ms).
+/// * `partition`: once each island has re-grown its half of the
+///   backbone, worst-seed delivery to receivers the radio can still
+///   reach stays >= 0.95; after the heal the head census re-merges
+///   within 15 s (committed ~5 s).
+/// * `byzantine`: mean delivery lost per misbehaving node relative to
+///   the k=0 control (which must be present) stays <= 0.05 at every k.
+#[rustfmt::skip]
+pub const GATES: &[Gate] = &[
+    Gate { scenario: "loss", sweep: "frame-loss", at: At::Labels(&["loss=0.15"]), proto: "hvdb", metric: "delivery_worst", rule: Rule::Min(0.90), on_smoke: OnSmoke::Fail },
+    Gate { scenario: "loss", sweep: "frame-loss", at: At::Labels(&["loss=0.25", "loss=0.3"]), proto: "hvdb", metric: "delivery_worst", rule: Rule::Min(0.93), on_smoke: OnSmoke::Fail },
+    Gate { scenario: "overhead", sweep: "churn", at: At::Labels(&["churn=0"]), proto: "hvdb-fixed", metric: "refresh_frames_per_s", rule: Rule::RatioMin { over: "hvdb-adaptive", min: 2.0 }, on_smoke: OnSmoke::Fail },
+    Gate { scenario: "overhead", sweep: "churn", at: At::Labels(&["churn=0"]), proto: "hvdb-adaptive", metric: "control_frames_per_s", rule: Rule::Max(900.0), on_smoke: OnSmoke::Fail },
+    Gate { scenario: "perf", sweep: "engine-threads", at: At::From("threads", 1.0), proto: "par-flood", metric: "events_processed", rule: Rule::Equal, on_smoke: OnSmoke::Check },
+    Gate { scenario: "perf", sweep: "engine-threads", at: At::From("threads", 1.0), proto: "par-flood", metric: "events_per_s", rule: Rule::Speedup { smoke: 1.2, full: 2.0 }, on_smoke: OnSmoke::Check },
+    Gate { scenario: "scale", sweep: "engine-threads", at: At::From("threads", 1.0), proto: "hvdb-par", metric: "events_processed", rule: Rule::Equal, on_smoke: OnSmoke::Check },
+    Gate { scenario: "scale", sweep: "network-size", at: At::From("nodes", 20000.0), proto: "hvdb-par", metric: "delivery", rule: Rule::Min(0.99), on_smoke: OnSmoke::Skip },
+    Gate { scenario: "traffic", sweep: "offered-load", at: At::From("pps", 0.0), proto: "hvdb", metric: "delivery", rule: Rule::KneeAbove { arms: &["flooding", "shared-tree"], min: 0.90, cap: ("p99_ms", 500.0) }, on_smoke: OnSmoke::Fail },
+    Gate { scenario: "traffic", sweep: "offered-load", at: At::Labels(&["pps=160"]), proto: "hvdb", metric: "p99_ms", rule: Rule::Min(10.0), on_smoke: OnSmoke::Fail },
+    Gate { scenario: "traffic", sweep: "offered-load", at: At::Labels(&["pps=160"]), proto: "hvdb", metric: "p99_ms", rule: Rule::Max(60.0), on_smoke: OnSmoke::Fail },
+    Gate { scenario: "partition", sweep: "partition", at: At::Labels(&["phase=partition"]), proto: "hvdb", metric: "delivery_reachable_steady_worst", rule: Rule::Min(0.95), on_smoke: OnSmoke::Fail },
+    Gate { scenario: "partition", sweep: "partition", at: At::Labels(&["phase=healed"]), proto: "hvdb", metric: "remerge_secs_worst", rule: Rule::Max(15.0), on_smoke: OnSmoke::Fail },
+    Gate { scenario: "byzantine", sweep: "byzantine", at: At::Labels(&["byz=0"]), proto: "hvdb", metric: "damage_per_node", rule: Rule::Max(0.05), on_smoke: OnSmoke::Fail },
+    Gate { scenario: "byzantine", sweep: "byzantine", at: At::From("byz", 1.0), proto: "hvdb", metric: "damage_per_node", rule: Rule::Max(0.05), on_smoke: OnSmoke::Fail },
+];
+
+/// Evaluates every [`GATES`] row of a schema-valid report's scenario:
+/// one PASS note or FAIL reason per row, each naming its row.
+pub fn check_gates(doc: &Json) -> Vec<Result<String, String>> {
+    let scenario = scenario_of(doc);
+    GATES
+        .iter()
+        .filter(|g| g.scenario == scenario)
+        .map(|g| g.check(doc))
+        .collect()
+}
+
+impl fmt::Display for Gate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{} ", self.scenario, self.sweep)?;
+        match self.at {
+            At::Labels(labels) => write!(f, "{}", labels.join("|"))?,
+            At::From(key, min) => write!(f, "{key}>={min}")?,
+        }
+        write!(f, " {} {} ", self.proto, self.metric)?;
+        match &self.rule {
+            Rule::Min(b) => write!(f, ">= {b}")?,
+            Rule::Max(b) => write!(f, "<= {b}")?,
+            Rule::RatioMin { over, min } => write!(f, "/ {over} >= {min}")?,
+            Rule::Equal => write!(f, "equal at every point")?,
+            Rule::Speedup { smoke, full } => write!(
+                f,
+                "speedup >= {full} ({smoke} smoke; waived below {SPEEDUP_MIN_THREADS} threads or hardware threads)"
+            )?,
+            Rule::KneeAbove { arms, min, cap } => write!(
+                f,
+                "knee above {} (sustained: >= {min}, {} <= {})",
+                arms.join(", "),
+                cap.0,
+                cap.1
+            )?,
+        }
+        match self.on_smoke {
+            OnSmoke::Check => Ok(()),
+            OnSmoke::Skip => write!(f, " [full runs; smoke skipped]"),
+            OnSmoke::Fail => write!(f, " [full runs]"),
+        }
+    }
+}
+
+/// One selected row of a gate: its numeric position (the label's number,
+/// or the label's index for [`At::Labels`]), its label and its metrics.
+struct Point<'a> {
+    x: f64,
+    label: &'a str,
+    metrics: &'a [(String, f64)],
+}
+
+impl Point<'_> {
+    fn get(&self, name: &str) -> Result<f64, String> {
+        self.metrics
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| format!("row {} has no {name} metric", self.label))
+    }
+}
+
+impl Gate {
+    /// Evaluates the gate on a schema-valid report: `Ok` with a PASS
+    /// note, or `Err` with the reason; both start with the gate's row.
+    pub fn check(&self, doc: &Json) -> Result<String, String> {
+        self.eval(doc)
+            .map(|note| format!("{self}: {note}"))
+            .map_err(|e| format!("{self}: {e}"))
+    }
+
+    /// Every metric the gate reads.
+    pub fn reads(&self) -> impl Iterator<Item = &'static str> {
+        let extra = match self.rule {
+            Rule::Speedup { .. } => Some("hardware_threads"),
+            Rule::KneeAbove { cap, .. } => Some(cap.0),
+            _ => None,
+        };
+        std::iter::once(self.metric).chain(extra)
+    }
+
+    fn eval(&self, doc: &Json) -> Result<String, String> {
+        let smoke = is_smoke(doc);
+        match self.on_smoke {
+            OnSmoke::Fail if smoke => {
+                return Err("needs a full run, not --smoke (smoke numbers are meaningless)".into())
+            }
+            OnSmoke::Skip if smoke => return Ok("not checked on a smoke report".into()),
+            _ => {}
+        }
+        let rows = report_rows(doc)?;
+        let pts = self.points(&rows, self.proto)?;
+        let metric = self.metric;
+        match self.rule {
+            Rule::Min(b) => self.within(&rows, &pts, None, (b, f64::INFINITY)),
+            Rule::Max(b) => self.within(&rows, &pts, None, (f64::NEG_INFINITY, b)),
+            Rule::RatioMin { over, min } => {
+                self.within(&rows, &pts, Some(over), (min, f64::INFINITY))
+            }
+            Rule::Equal => {
+                let base = self.baseline(&pts)?;
+                let want = base.get(metric)?;
+                let mut diverged = Vec::new();
+                for p in &pts {
+                    let v = p.get(metric)?;
+                    if v != want {
+                        diverged.push(format!("{} {v}", p.label));
+                    }
+                }
+                if diverged.is_empty() {
+                    Ok(format!("{want} at all {} points", pts.len()))
+                } else {
+                    Err(format!(
+                        "diverged from {} ({want}): {} — determinism contract broken",
+                        base.label,
+                        diverged.join(", ")
+                    ))
+                }
+            }
+            Rule::Speedup { smoke: s, full } => {
+                let base = self.baseline(&pts)?;
+                for p in &pts {
+                    p.get(metric)?;
+                    p.get("hardware_threads")?;
+                }
+                let top = pts.last().expect("baseline checked two points");
+                let (b, hw) = (base.get(metric)?, top.get("hardware_threads")?);
+                if b <= 0.0 {
+                    return Err(format!(
+                        "{} {metric} is zero — measurement broken",
+                        base.label
+                    ));
+                }
+                let speedup = top.get(metric)? / b;
+                let floor = if smoke { s } else { full };
+                if top.x < SPEEDUP_MIN_THREADS || hw < SPEEDUP_MIN_THREADS {
+                    Ok(format!(
+                        "{speedup:.2}x at {} (floor {floor} waived: {hw:.0} hardware threads)",
+                        top.label
+                    ))
+                } else if speedup < floor {
+                    Err(format!(
+                        "{speedup:.2}x at {} is below the floor {floor} ({hw:.0} hardware threads)",
+                        top.label
+                    ))
+                } else {
+                    Ok(format!("{speedup:.2}x at {} (floor {floor})", top.label))
+                }
+            }
+            Rule::KneeAbove { arms, min, cap } => {
+                let knee = |pts: &[Point]| -> Result<f64, String> {
+                    let series = pts
+                        .iter()
+                        .map(|p| Ok((p.x, p.get(metric)?, p.get(cap.0)?)))
+                        .collect::<Result<Vec<_>, String>>()?;
+                    let sustained = series
+                        .iter()
+                        .take_while(|(_, v, c)| *v >= min && *c <= cap.1);
+                    Ok(sustained.last().map_or(0.0, |s| s.0))
+                };
+                let own = knee(&pts)?;
+                if own <= 0.0 {
+                    return Err(format!(
+                        "{} fails the knee rule at its lowest point {}",
+                        self.proto, pts[0].label
+                    ));
+                }
+                let mut seen = vec![format!("{} {own}", self.proto)];
+                for arm in arms {
+                    let theirs = knee(&self.points(&rows, arm)?)?;
+                    if own <= theirs {
+                        return Err(format!(
+                            "{} sustains {own} but {arm} sustains {theirs} — the backbone must \
+                             out-sustain its baselines strictly",
+                            self.proto
+                        ));
+                    }
+                    seen.push(format!("{arm} {theirs}"));
+                }
+                Ok(format!("knees {}", seen.join(", ")))
+            }
+        }
+    }
+
+    /// Every point's value, or its ratio to the `over` arm's value at
+    /// the same label, must lie in `lo..=hi`.
+    fn within(
+        &self,
+        rows: &[ReportRow],
+        pts: &[Point],
+        over: Option<&str>,
+        (lo, hi): (f64, f64),
+    ) -> Result<String, String> {
+        let den = over.map(|arm| self.points(rows, arm)).transpose()?;
+        let (mut seen, mut bad) = (Vec::new(), Vec::new());
+        for p in pts {
+            let mut v = p.get(self.metric)?;
+            if let (Some(over), Some(den)) = (over, &den) {
+                let missing = || format!("no {over} {} row at {}", self.sweep, p.label);
+                let d = den
+                    .iter()
+                    .find(|d| d.label == p.label)
+                    .ok_or_else(missing)?;
+                let d = d.get(self.metric)?;
+                if d <= 0.0 {
+                    return Err(format!(
+                        "{over} {} is zero — measurement broken",
+                        self.metric
+                    ));
+                }
+                v /= d;
+            }
+            let at = format!("{v:.3} at {}", p.label);
+            if v < lo {
+                bad.push(format!("{at} is below the floor {lo}"));
+            } else if v > hi {
+                bad.push(format!("{at} exceeds the ceiling {hi}"));
+            } else {
+                seen.push(at);
+            }
+        }
+        if bad.is_empty() {
+            Ok(seen.join(", "))
+        } else {
+            Err(bad.join("; "))
+        }
+    }
+
+    /// The rows of arm `proto` the gate's selector picks, in point order.
+    fn points<'a>(&self, rows: &'a [ReportRow], proto: &str) -> Result<Vec<Point<'a>>, String> {
+        let sweep = self.sweep;
+        let arm = rows.iter().filter(|(s, _, p, _)| s == sweep && p == proto);
+        let mut pts = Vec::new();
+        match self.at {
+            At::Labels(labels) => {
+                for (i, want) in labels.iter().enumerate() {
+                    let (_, label, _, metrics) = arm
+                        .clone()
+                        .find(|(_, l, ..)| l == want)
+                        .ok_or_else(|| format!("no {proto} {sweep} row at {want}"))?;
+                    pts.push(Point {
+                        x: i as f64,
+                        label,
+                        metrics,
+                    });
+                }
+            }
+            At::From(key, min) => {
+                for (_, label, _, metrics) in arm {
+                    let x = label
+                        .strip_prefix(key)
+                        .and_then(|rest| rest.strip_prefix('='))
+                        .and_then(|n| n.parse::<f64>().ok())
+                        .filter(|x| x.is_finite())
+                        .ok_or_else(|| {
+                            format!("{proto} {sweep} row has unparseable label {label:?}")
+                        })?;
+                    if x >= min {
+                        pts.push(Point { x, label, metrics });
+                    }
+                }
+                if pts.is_empty() {
+                    return Err(format!("no {proto} {sweep} row at {key}>={min}"));
+                }
+                pts.sort_by(|a, b| a.x.total_cmp(&b.x));
+            }
+        }
+        Ok(pts)
+    }
+
+    /// The reference point of [`Rule::Equal`] and [`Rule::Speedup`]: the
+    /// selector's lowest point, which must be present along with at
+    /// least one other.
+    fn baseline<'p, 'a>(&self, pts: &'p [Point<'a>]) -> Result<&'p Point<'a>, String> {
+        if pts.len() < 2 {
+            return Err(format!("needs rows at >= 2 points, found {}", pts.len()));
+        }
+        match self.at {
+            At::From(key, min) if pts[0].x != min => Err(format!("no {key}={min} baseline row")),
+            _ => Ok(&pts[0]),
+        }
     }
 }
 
 /// Reads a metric from the row matching `(sweep, label, proto)`.
 pub fn metric_of(doc: &Json, sweep: &str, label: &str, proto: &str, metric: &str) -> Option<f64> {
-    let fields = obj_fields(doc).ok()?;
-    let Json::Arr(rows) = field(fields, "rows").ok()? else {
+    let Some(Json::Arr(rows)) = doc.get("rows") else {
         return None;
     };
-    for row in rows {
-        let rf = obj_fields(row).ok()?;
-        let matches =
-            |key: &str, want: &str| matches!(field(rf, key), Ok(Json::Str(s)) if s == want);
-        if matches("sweep", sweep) && matches("label", label) && matches("proto", proto) {
-            if let Ok(Json::Obj(metrics)) = field(rf, "metrics") {
-                if let Some((_, Json::Num(n))) = metrics.iter().find(|(k, _)| k == metric) {
-                    return Some(*n);
-                }
-            }
+    rows.iter().find_map(|row| {
+        let is = |key: &str, want: &str| matches!(row.get(key), Some(Json::Str(s)) if s == want);
+        if is("sweep", sweep) && is("label", label) && is("proto", proto) {
+            row.get("metrics")?.get(metric)?.num()
+        } else {
+            None
         }
-    }
-    None
+    })
 }
 
-/// The CI regression gate over a validated `loss` report: worst-seed
-/// delivery at [`LOSS_GATE_POINT`] must be at least `floor`. Refuses
-/// smoke reports (their numbers are meaningless) and missing gate rows.
-pub fn check_loss_floor(doc: &Json, floor: f64) -> Result<f64, String> {
-    let fields = obj_fields(doc)?;
-    if matches!(field(fields, "smoke")?, Json::Bool(true)) {
-        return Err(
-            "loss gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
+/// The scenario name of a report document (empty if it has none).
+pub fn scenario_of(doc: &Json) -> &str {
+    match doc.get("scenario") {
+        Some(Json::Str(s)) => s,
+        _ => "",
     }
-    let worst = metric_of(doc, "frame-loss", LOSS_GATE_POINT, "hvdb", "delivery_worst")
-        .ok_or_else(|| {
-            format!("no hvdb frame-loss row at {LOSS_GATE_POINT} with a delivery_worst metric")
-        })?;
-    if worst < floor {
-        return Err(format!(
-            "worst-seed delivery {worst:.3} at {LOSS_GATE_POINT} is below the committed floor {floor:.2}"
-        ));
-    }
-    Ok(worst)
-}
-
-/// The high-loss regression band over a validated `loss` report: every
-/// [`LOSS_HIGH_POINTS`] row's worst-seed delivery must be at least
-/// [`LOSS_HIGH_FLOOR`]. Missing rows fail loudly (a gate that cannot
-/// find its point must not wave the report through). Refuses smoke
-/// reports. Returns the checked `(point, worst)` pairs.
-pub fn check_loss_high_band(doc: &Json) -> Result<Vec<(String, f64)>, String> {
-    let fields = obj_fields(doc)?;
-    if matches!(field(fields, "smoke")?, Json::Bool(true)) {
-        return Err(
-            "loss gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let mut checked = Vec::new();
-    for point in LOSS_HIGH_POINTS {
-        let worst =
-            metric_of(doc, "frame-loss", point, "hvdb", "delivery_worst").ok_or_else(|| {
-                format!("no hvdb frame-loss row at {point} with a delivery_worst metric")
-            })?;
-        if worst < LOSS_HIGH_FLOOR {
-            return Err(format!(
-                "worst-seed delivery {worst:.3} at {point} is below the committed \
-                 high-loss floor {LOSS_HIGH_FLOOR:.2}"
-            ));
-        }
-        checked.push((point.to_string(), worst));
-    }
-    Ok(checked)
-}
-
-/// The `perf` scenario's parallel-engine gate, over the `engine-threads`
-/// sweep (the `par-flood` protocol run at 1 and N worker threads on the
-/// same workload).
-///
-/// Two halves:
-///
-/// * **Determinism** — always enforced: every `engine-threads` row must
-///   report **exactly** the same `events_processed`. Threads are allowed
-///   to change wall-clock only; a diverging event count means the
-///   parallel engine's commit order leaked into results.
-/// * **Speedup** — enforced only when it can mean something: the
-///   multi-thread row must show `events_per_s` at least `floor` times the
-///   single-thread row's, *if* that row ran with >= 4 threads on a
-///   machine reporting >= 4 hardware threads (the row's
-///   `hardware_threads` metric). On smaller machines the threads
-///   timeslice one core and the ratio measures scheduler noise, so the
-///   gate records the measurement without enforcing the floor.
-///
-/// Returns `(multi-thread label, speedup, enforced)`. Missing rows or
-/// metrics fail loudly — a gate that cannot find its points must not wave
-/// the report through.
-pub fn check_perf_threads_gate(doc: &Json, floor: f64) -> Result<(String, f64, bool), String> {
-    let rows = report_rows(doc)?;
-    let mut points: Vec<(u64, f64, f64, f64)> = Vec::new(); // (threads, events/s, events, hw)
-    for (sweep, label, proto, metrics) in &rows {
-        if sweep != "engine-threads" || proto != "par-flood" {
-            continue;
-        }
-        let threads: u64 = label
-            .strip_prefix("threads=")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("engine-threads row has unparseable label {label:?}"))?;
-        let get = |name: &str| -> Result<f64, String> {
-            metrics
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| format!("engine-threads row {label} has no {name} metric"))
-        };
-        points.push((
-            threads,
-            get("events_per_s")?,
-            get("events_processed")?,
-            get("hardware_threads")?,
-        ));
-    }
-    if points.len() < 2 {
-        return Err(format!(
-            "need engine-threads par-flood rows at >= 2 thread counts, found {}",
-            points.len()
-        ));
-    }
-    points.sort_by_key(|p| p.0);
-    let &(single_threads, single_eps, single_events, _) = points.first().expect("len checked");
-    let &(threads, multi_eps, _, hw) = points.last().expect("len checked");
-    let multi_label = format!("threads={threads}");
-    if single_threads != 1 {
-        return Err("engine-threads sweep has no threads=1 baseline row".into());
-    }
-    for &(t, _, events, _) in &points {
-        if events != single_events {
-            return Err(format!(
-                "parallel engine diverged: threads={t} processed {events:.0} events, \
-                 threads=1 processed {single_events:.0} — determinism contract broken"
-            ));
-        }
-    }
-    if single_eps <= 0.0 {
-        return Err("single-thread events_per_s is zero — measurement broken".into());
-    }
-    let speedup = multi_eps / single_eps;
-    let enforced = threads >= 4 && hw >= 4.0;
-    if enforced && speedup < floor {
-        return Err(format!(
-            "parallel-engine speedup {speedup:.2}x at {multi_label} is below the {floor:.1}x \
-             floor (multi {multi_eps:.0} vs single {single_eps:.0} events/s, \
-             {hw:.0} hardware threads)"
-        ));
-    }
-    Ok((multi_label, speedup, enforced))
-}
-
-/// The CI gate over a validated `scale` report, in two parts:
-///
-/// * **Determinism** (applies to smoke and full runs): the
-///   `engine-threads` sweep's `hvdb-par` rows — HVDB itself on the
-///   sharded parallel engine — must exist at a `threads=1` baseline plus
-///   at least one other thread count, with *exactly* equal
-///   `events_processed` everywhere. This is the thread-invariance
-///   contract enforced on the real protocol, not just the flooding
-///   benchmark.
-/// * **Scale campaign** (full runs only): the largest `network-size`
-///   point at or above [`SCALE_GATE_MIN_NODES`] nodes must deliver at
-///   least [`SCALE_DELIVERY_FLOOR`]; a full report with no such point
-///   fails — the campaign row cannot silently drop out of the sweep.
-///
-/// Returns one human-readable note per passed part.
-pub fn check_scale_gate(doc: &Json) -> Result<Vec<String>, String> {
-    let rows = report_rows(doc)?;
-    let mut notes = Vec::new();
-
-    let mut points: Vec<(u64, f64)> = Vec::new(); // (threads, events_processed)
-    for (sweep, label, proto, metrics) in &rows {
-        if sweep != "engine-threads" || proto != "hvdb-par" {
-            continue;
-        }
-        let threads: u64 = label
-            .strip_prefix("threads=")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("engine-threads row has unparseable label {label:?}"))?;
-        let events = metrics
-            .iter()
-            .find(|(k, _)| k == "events_processed")
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("engine-threads row {label} has no events_processed"))?;
-        points.push((threads, events));
-    }
-    if points.len() < 2 {
-        return Err(format!(
-            "need engine-threads hvdb-par rows at >= 2 thread counts, found {}",
-            points.len()
-        ));
-    }
-    points.sort_by_key(|p| p.0);
-    let &(single_threads, single_events) = points.first().expect("len checked");
-    if single_threads != 1 {
-        return Err("engine-threads sweep has no threads=1 baseline row".into());
-    }
-    let diverged: Vec<String> = points
-        .iter()
-        .filter(|&&(_, events)| events != single_events)
-        .map(|&(t, events)| {
-            format!(
-                "threads={t} processed {events:.0} events, threads=1 processed \
-                 {single_events:.0}"
-            )
-        })
-        .collect();
-    if !diverged.is_empty() {
-        return Err(format!(
-            "HVDB on the parallel engine diverged — determinism contract broken: {}",
-            diverged.join("; ")
-        ));
-    }
-    notes.push(format!(
-        "hvdb-par events_processed identical across {} thread counts",
-        points.len()
-    ));
-
-    if !is_smoke(doc)? {
-        // Every campaign point at or above the threshold must clear the
-        // delivery floor; all violations are reported, not just the
-        // first.
-        let mut campaign: Vec<(u64, f64)> = Vec::new(); // (nodes, delivery)
-        for (sweep, label, _, metrics) in &rows {
-            if sweep != "network-size" {
-                continue;
-            }
-            let Some(nodes) = label
-                .strip_prefix("nodes=")
-                .and_then(|n| n.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            if nodes < SCALE_GATE_MIN_NODES {
-                continue;
-            }
-            let delivery = metrics
-                .iter()
-                .find(|(k, _)| k == "delivery")
-                .map(|(_, v)| *v)
-                .ok_or_else(|| format!("network-size row {label} has no delivery metric"))?;
-            campaign.push((nodes, delivery));
-        }
-        if campaign.is_empty() {
-            return Err(format!(
-                "full scale report has no network-size point at >= {SCALE_GATE_MIN_NODES} nodes"
-            ));
-        }
-        campaign.sort_by_key(|p| p.0);
-        let low: Vec<String> = campaign
-            .iter()
-            .filter(|&&(_, delivery)| delivery < SCALE_DELIVERY_FLOOR)
-            .map(|&(nodes, delivery)| {
-                format!(
-                    "delivery {delivery:.3} at nodes={nodes} is below the scale-campaign \
-                     floor {SCALE_DELIVERY_FLOOR}"
-                )
-            })
-            .collect();
-        if !low.is_empty() {
-            return Err(low.join("; "));
-        }
-        let &(max_nodes, max_delivery) = campaign.last().expect("non-empty checked");
-        notes.push(format!(
-            "delivery >= {SCALE_DELIVERY_FLOOR} at {} campaign point(s), \
-             {max_delivery:.3} at nodes={max_nodes}",
-            campaign.len()
-        ));
-    }
-    Ok(notes)
-}
-
-/// The CI gate over a validated `partition` report:
-///
-/// * at `phase=partition`, worst-seed `delivery_reachable_steady_worst`
-///   must be at least [`PARTITION_REACHABLE_DELIVERY_FLOOR`] — once past
-///   the re-election transient, the split network keeps serving every
-///   receiver the radio can still reach;
-/// * at `phase=healed`, `remerge_secs_worst` must be at most
-///   [`PARTITION_REMERGE_BUDGET_SECS`] — the split head hierarchies
-///   re-merge promptly once connectivity returns.
-///
-/// Refuses smoke reports; missing rows or metrics fail loudly. Returns
-/// one human-readable note per passed check.
-pub fn check_partition_gate(doc: &Json) -> Result<Vec<String>, String> {
-    if is_smoke(doc)? {
-        return Err(
-            "partition gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let read = |label: &str, metric: &str| -> Result<f64, String> {
-        metric_of(doc, "partition", label, "hvdb", metric)
-            .ok_or_else(|| format!("no hvdb partition row at {label} with a {metric} metric"))
-    };
-    let mut notes = Vec::new();
-    let reachable = read("phase=partition", "delivery_reachable_steady_worst")?;
-    if reachable < PARTITION_REACHABLE_DELIVERY_FLOOR {
-        return Err(format!(
-            "worst-seed steady reachable delivery {reachable:.3} during the partition is below \
-             the committed floor {PARTITION_REACHABLE_DELIVERY_FLOOR:.2}"
-        ));
-    }
-    notes.push(format!(
-        "steady reachable delivery {reachable:.3} >= {PARTITION_REACHABLE_DELIVERY_FLOOR} \
-         during the split"
-    ));
-    let remerge = read("phase=healed", "remerge_secs_worst")?;
-    if remerge > PARTITION_REMERGE_BUDGET_SECS {
-        return Err(format!(
-            "worst-seed head-hierarchy re-merge took {remerge:.1} s after the heal, over the \
-             committed budget {PARTITION_REMERGE_BUDGET_SECS:.0} s"
-        ));
-    }
-    notes.push(format!(
-        "re-merge {remerge:.1} s <= {PARTITION_REMERGE_BUDGET_SECS:.0} s budget"
-    ));
-    match check_partition_timeline(doc)? {
-        Some(derived) => notes.push(format!(
-            "timeline cross-check: re-merge {derived:.1} s re-derived from the sample series \
-             matches the probe measurement"
-        )),
-        None => notes.push("no timeline block (legacy report): cross-check skipped".into()),
-    }
-    Ok(notes)
-}
-
-/// The CI gate over a validated `byzantine` report: every `byz=k` row
-/// with k > 0 must keep `damage_per_node` — mean delivery lost per
-/// misbehaving node relative to the k=0 control — at or below
-/// [`BYZANTINE_DAMAGE_PER_NODE`]. The k=0 control row must exist (the
-/// damage metric is meaningless without its reference). Refuses smoke
-/// reports. Returns one note per checked row.
-pub fn check_byzantine_gate(doc: &Json) -> Result<Vec<String>, String> {
-    if is_smoke(doc)? {
-        return Err(
-            "byzantine gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let rows = report_rows(doc)?;
-    if !rows
-        .iter()
-        .any(|(s, l, p, _)| s == "byzantine" && l == "byz=0" && p == "hvdb")
-    {
-        return Err("no hvdb byzantine row at byz=0 (the damage reference)".into());
-    }
-    let mut notes = Vec::new();
-    for (sweep, label, proto, metrics) in &rows {
-        if sweep != "byzantine" || proto != "hvdb" || label == "byz=0" {
-            continue;
-        }
-        let k: u64 = label
-            .strip_prefix("byz=")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| format!("byzantine row has unparseable label {label:?}"))?;
-        let damage = metrics
-            .iter()
-            .find(|(name, _)| name == "damage_per_node")
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("byzantine row {label} has no damage_per_node metric"))?;
-        if damage > BYZANTINE_DAMAGE_PER_NODE {
-            return Err(format!(
-                "delivery damage {damage:.3} per Byzantine node at {label} exceeds the \
-                 committed ceiling {BYZANTINE_DAMAGE_PER_NODE:.2}"
-            ));
-        }
-        notes.push(format!(
-            "damage {damage:.3}/node <= {BYZANTINE_DAMAGE_PER_NODE:.2} at k={k}"
-        ));
-    }
-    if notes.is_empty() {
-        return Err("no hvdb byzantine rows with k > 0 to gate".into());
-    }
-    Ok(notes)
 }
 
 /// Whether a validated report document is a smoke run.
-fn is_smoke(doc: &Json) -> Result<bool, String> {
-    let fields = obj_fields(doc)?;
-    Ok(matches!(field(fields, "smoke")?, Json::Bool(true)))
-}
-
-/// The CI gate over a validated `overhead` report: at the quiet point
-/// ([`OVERHEAD_QUIET_POINT`]) the fixed-rate baseline's refresh-plane
-/// frames/s must be at least [`OVERHEAD_QUIET_IMPROVEMENT`]× the
-/// adaptive controller's, and the adaptive controller's total control
-/// frames/s must stay under [`OVERHEAD_CEILING_FRAMES_PER_S`]. Returns
-/// `(improvement ratio, adaptive control frames/s)`. Refuses smoke
-/// reports.
-pub fn check_overhead_gate(doc: &Json) -> Result<(f64, f64), String> {
-    if is_smoke(doc)? {
-        return Err(
-            "overhead gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let read = |proto: &str, metric: &str| -> Result<f64, String> {
-        metric_of(doc, "churn", OVERHEAD_QUIET_POINT, proto, metric).ok_or_else(|| {
-            format!("no {proto} churn row at {OVERHEAD_QUIET_POINT} with a {metric} metric")
-        })
-    };
-    let fixed = read("hvdb-fixed", "refresh_frames_per_s")?;
-    let adaptive = read("hvdb-adaptive", "refresh_frames_per_s")?;
-    if adaptive <= 0.0 {
-        return Err(
-            "adaptive quiet-phase refresh_frames_per_s is zero — measurement broken".into(),
-        );
-    }
-    let ratio = fixed / adaptive;
-    if ratio < OVERHEAD_QUIET_IMPROVEMENT {
-        return Err(format!(
-            "quiet-phase refresh overhead improvement {ratio:.2}x is below the committed \
-             {OVERHEAD_QUIET_IMPROVEMENT:.1}x floor (fixed {fixed:.1} vs adaptive {adaptive:.1} frames/s)"
-        ));
-    }
-    let total = read("hvdb-adaptive", "control_frames_per_s")?;
-    if total > OVERHEAD_CEILING_FRAMES_PER_S {
-        return Err(format!(
-            "quiet-phase adaptive control traffic {total:.1} frames/s exceeds the committed \
-             ceiling {OVERHEAD_CEILING_FRAMES_PER_S:.0}"
-        ));
-    }
-    Ok((ratio, total))
-}
-
-/// The `traffic` scenario's saturation-knee gate.
-///
-/// Per protocol, the **knee** is the largest offered load such that the
-/// sweep passes continuously up to it (mean delivery ≥
-/// [`TRAFFIC_KNEE_DELIVERY_FLOOR`] *and* p99 latency ≤
-/// [`TRAFFIC_KNEE_P99_CEILING_MS`] at every point at or below it —
-/// prefix semantics, so a fluke recovery beyond saturation cannot move
-/// the knee). The gate enforces the §5 load claim: HVDB's knee must sit
-/// **strictly above** every [`TRAFFIC_BASELINE_PROTOS`] knee (which also
-/// forces the sweep to actually extend past the baselines' knees), and
-/// HVDB's p99 at [`TRAFFIC_P99_REFERENCE_POINT`] must stay inside
-/// [`TRAFFIC_P99_BAND_MS`]. Refuses smoke reports. Returns
-/// `(hvdb knee pps, reference-point p99 ms)`.
-pub fn check_traffic_gate(doc: &Json) -> Result<(f64, f64), String> {
-    if is_smoke(doc)? {
-        return Err(
-            "traffic gate needs a full run, not --smoke (smoke numbers are meaningless)".into(),
-        );
-    }
-    let rows = report_rows(doc)?;
-    // (offered, delivery, p99) per proto, ascending by offered load.
-    let series = |proto: &str| -> Vec<(f64, f64, f64)> {
-        let mut pts: Vec<(f64, f64, f64)> = rows
-            .iter()
-            .filter(|(s, _, p, _)| s == "offered-load" && p == proto)
-            .filter_map(|(_, label, _, m)| {
-                // Non-finite labels (a corrupt "pps=nan" parses!) are
-                // skipped rather than poisoning the sort below.
-                let offered = label
-                    .strip_prefix("pps=")?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|o| o.is_finite())?;
-                let get = |k: &str| m.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-                Some((offered, get("delivery")?, get("p99_ms")?))
-            })
-            .collect();
-        pts.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("offered loads filtered finite")
-        });
-        pts
-    };
-    let knee = |pts: &[(f64, f64, f64)]| -> f64 {
-        let mut knee = 0.0;
-        for &(offered, delivery, p99) in pts {
-            if delivery >= TRAFFIC_KNEE_DELIVERY_FLOOR && p99 <= TRAFFIC_KNEE_P99_CEILING_MS {
-                knee = offered;
-            } else {
-                break;
-            }
-        }
-        knee
-    };
-    let hvdb = series("hvdb");
-    if hvdb.is_empty() {
-        return Err("no hvdb offered-load rows with delivery and p99_ms metrics".into());
-    }
-    let hvdb_knee = knee(&hvdb);
-    if hvdb_knee <= 0.0 {
-        return Err(format!(
-            "hvdb fails the knee rule at the lowest offered point ({:.3} delivery, {:.1} ms p99)",
-            hvdb[0].1, hvdb[0].2
-        ));
-    }
-    for baseline in TRAFFIC_BASELINE_PROTOS {
-        let pts = series(baseline);
-        if pts.is_empty() {
-            return Err(format!(
-                "no {baseline} offered-load rows in the traffic report"
-            ));
-        }
-        let b_knee = knee(&pts);
-        if hvdb_knee <= b_knee {
-            return Err(format!(
-                "hvdb sustains {hvdb_knee:.0} pps but {baseline} sustains {b_knee:.0} — \
-                 the backbone must out-sustain its baselines strictly"
-            ));
-        }
-    }
-    let p99 = metric_of(
-        doc,
-        "offered-load",
-        TRAFFIC_P99_REFERENCE_POINT,
-        "hvdb",
-        "p99_ms",
-    )
-    .ok_or_else(|| {
-        format!("no hvdb offered-load row at {TRAFFIC_P99_REFERENCE_POINT} with a p99_ms metric")
-    })?;
-    let (lo, hi) = TRAFFIC_P99_BAND_MS;
-    if !(lo..=hi).contains(&p99) {
-        return Err(format!(
-            "hvdb p99 {p99:.1} ms at {TRAFFIC_P99_REFERENCE_POINT} left the committed \
-             [{lo:.0}, {hi:.0}] ms band"
-        ));
-    }
-    Ok((hvdb_knee, p99))
+fn is_smoke(doc: &Json) -> bool {
+    matches!(doc.get("smoke"), Some(Json::Bool(true)))
 }
 
 /// Row coordinates and metrics extracted from a validated report:
@@ -987,45 +796,39 @@ pub fn check_traffic_gate(doc: &Json) -> Result<(f64, f64), String> {
 type ReportRow = (String, String, String, Vec<(String, f64)>);
 
 fn report_rows(doc: &Json) -> Result<Vec<ReportRow>, String> {
-    let fields = obj_fields(doc)?;
-    let Json::Arr(rows) = field(fields, "rows")? else {
+    let Some(Json::Arr(rows)) = doc.get("rows") else {
         return Err("rows: expected array".into());
     };
-    let mut out = Vec::new();
-    for row in rows {
-        let rf = obj_fields(row)?;
-        let get = |key: &str| -> Result<String, String> {
-            as_str(field(rf, key)?, key).map(str::to_string)
+    let row = |row: &Json| {
+        let get = |key: &str| as_str(row.get(key).unwrap_or(&Json::Null), key).map(str::to_string);
+        let Some(Json::Obj(metrics)) = row.get("metrics") else {
+            return Err("metrics: expected object".to_string());
         };
-        let Json::Obj(metrics) = field(rf, "metrics")? else {
-            return Err("metrics: expected object".into());
-        };
-        let metrics: Vec<(String, f64)> = metrics
+        let metrics = metrics
             .iter()
-            .filter_map(|(k, v)| match v {
-                Json::Num(n) => Some((k.clone(), *n)),
-                _ => None,
-            })
-            .collect();
-        out.push((get("sweep")?, get("label")?, get("proto")?, metrics));
-    }
-    Ok(out)
+            .filter_map(|(k, v)| Some((k.clone(), v.num()?)));
+        Ok((
+            get("sweep")?,
+            get("label")?,
+            get("proto")?,
+            metrics.collect(),
+        ))
+    };
+    rows.iter().map(row).collect()
 }
 
 /// The bench-trajectory gate: compares a freshly produced `candidate`
 /// report against the committed `baseline` within tolerance bands —
 /// every baseline row must exist in the candidate, `delivery` may
-/// regress at most `delivery_tol` (fraction), and the
-/// [`OVERHEAD_GATED_METRICS`] may grow at most `overhead_tol`. Refuses
-/// smoke candidates. Returns one summary line per compared row; all
-/// violations are collected into the error, not just the first.
-pub fn check_trajectory(
-    candidate: &Json,
-    baseline: &Json,
-    delivery_tol: f64,
-    overhead_tol: f64,
-) -> Result<Vec<String>, String> {
-    if is_smoke(candidate)? {
+/// regress at most 10%, and the overhead metrics
+/// (`OVERHEAD_GATED_METRICS`) may grow at most 15%. Refuses smoke
+/// candidates. Returns
+/// one summary line per compared row; all violations are collected into
+/// the error, not just the first.
+pub fn check_trajectory(candidate: &Json, baseline: &Json) -> Result<Vec<String>, String> {
+    let (delivery_tol, overhead_tol) =
+        (TRAJECTORY_DELIVERY_TOLERANCE, TRAJECTORY_OVERHEAD_TOLERANCE);
+    if is_smoke(candidate) {
         return Err("trajectory gate needs a full run, not --smoke".into());
     }
     let base_rows = report_rows(baseline)?;
@@ -1282,6 +1085,17 @@ mod tests {
     use super::*;
     use crate::report::{Row, ScenarioReport};
 
+    /// Evaluates the [`GATES`] rows whose printed form starts with
+    /// `prefix`: their PASS notes, or the first FAIL reason.
+    fn gates(doc: &Json, prefix: &str) -> Result<Vec<String>, String> {
+        let picked: Vec<&Gate> = GATES
+            .iter()
+            .filter(|g| g.to_string().starts_with(prefix))
+            .collect();
+        assert!(!picked.is_empty(), "no gate row starts with {prefix:?}");
+        picked.iter().map(|g| g.check(doc)).collect()
+    }
+
     fn report(scenario: &str, rows: Vec<Row>) -> String {
         ScenarioReport {
             scenario: scenario.into(),
@@ -1476,10 +1290,7 @@ mod tests {
             vec![sample(3.0, 9.0), sample(5.0, 5.0)],
         );
         let s = report_with_blocks("partition", any_rows(), Some(tl), None);
-        let doc = validate_report_str(&s).unwrap();
-        assert!(check_partition_timeline(&doc)
-            .unwrap_err()
-            .contains("disagrees"));
+        assert!(validate_report_str(&s).unwrap_err().contains("disagrees"));
 
         // Census never returns to the target.
         let tl = timeline_block(
@@ -1491,10 +1302,37 @@ mod tests {
             vec![sample(3.0, 9.0), sample(5.0, 9.0)],
         );
         let s = report_with_blocks("partition", any_rows(), Some(tl), None);
-        let doc = validate_report_str(&s).unwrap();
-        assert!(check_partition_timeline(&doc)
+        assert!(validate_report_str(&s)
             .unwrap_err()
             .contains("never returns"));
+    }
+
+    #[test]
+    fn smoke_partition_timeline_is_cross_checked_by_the_schema() {
+        // A smoke report gets no scenario gates, but its timeline is
+        // still re-derived: the probe claims 4 s, the samples show 2 s.
+        let tl = timeline_block(
+            &[
+                ("heal_at_secs", 3.0),
+                ("heads_target", 5.0),
+                ("remerge_secs_probe", 4.0),
+            ],
+            vec![sample(3.0, 9.0), sample(5.0, 5.0)],
+        );
+        let s = report_with_blocks("partition", any_rows(), Some(tl), None)
+            .replace("\"smoke\": false", "\"smoke\": true");
+        assert!(s.contains("\"smoke\": true"));
+        let err = validate_report_str(&s).unwrap_err();
+        assert!(
+            err.contains("timeline cross-check") && err.contains("disagrees"),
+            "{err}"
+        );
+
+        // Other scenarios' timelines carry no heal annotations and are
+        // not cross-checked.
+        let tl = timeline_block(&[], vec![sample(1.0, 5.0), sample(2.0, 4.0)]);
+        let s = report_with_blocks("scale", any_rows(), Some(tl), None);
+        validate_report_str(&s).expect("scale timeline needs no heal annotations");
     }
 
     #[test]
@@ -1543,25 +1381,25 @@ mod tests {
             "loss",
             vec![Row::new(
                 "frame-loss",
-                LOSS_GATE_POINT,
+                "loss=0.15",
                 "hvdb",
-                vec![("delivery_worst".into(), LOSS_DELIVERY_FLOOR + 0.02)],
+                vec![("delivery_worst".into(), 0.90 + 0.02)],
             )],
         );
         let doc = validate_report_str(&ok).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_ok());
+        assert!(gates(&doc, "loss/frame-loss loss=0.15 ").is_ok());
 
         let bad = report(
             "loss",
             vec![Row::new(
                 "frame-loss",
-                LOSS_GATE_POINT,
+                "loss=0.15",
                 "hvdb",
-                vec![("delivery_worst".into(), LOSS_DELIVERY_FLOOR - 0.05)],
+                vec![("delivery_worst".into(), 0.90 - 0.05)],
             )],
         );
         let doc = validate_report_str(&bad).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_err());
+        assert!(gates(&doc, "loss/frame-loss loss=0.15 ").is_err());
 
         // Missing gate row.
         let none = report(
@@ -1574,7 +1412,7 @@ mod tests {
             )],
         );
         let doc = validate_report_str(&none).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_err());
+        assert!(gates(&doc, "loss/frame-loss loss=0.15 ").is_err());
     }
 
     #[test]
@@ -1590,16 +1428,16 @@ mod tests {
             profile: None,
             rows: vec![Row::new(
                 "frame-loss",
-                LOSS_GATE_POINT,
+                "loss=0.15",
                 "hvdb",
                 vec![("delivery_worst".into(), 1.0)],
             )],
         };
         let doc = validate_report_str(&rep.to_json().to_string()).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_err());
+        assert!(gates(&doc, "loss/frame-loss loss=0.15 ").is_err());
         rep.smoke = false;
         let doc = validate_report_str(&rep.to_json().to_string()).unwrap();
-        assert!(check_loss_floor(&doc, LOSS_DELIVERY_FLOOR).is_ok());
+        assert!(gates(&doc, "loss/frame-loss loss=0.15 ").is_ok());
     }
 
     fn overhead_report(fixed_refresh: f64, adaptive_refresh: f64, adaptive_total: f64) -> String {
@@ -1608,7 +1446,7 @@ mod tests {
             vec![
                 Row::new(
                     "churn",
-                    OVERHEAD_QUIET_POINT,
+                    "churn=0",
                     "hvdb-fixed",
                     vec![
                         ("refresh_frames_per_s".into(), fixed_refresh),
@@ -1617,7 +1455,7 @@ mod tests {
                 ),
                 Row::new(
                     "churn",
-                    OVERHEAD_QUIET_POINT,
+                    "churn=0",
                     "hvdb-adaptive",
                     vec![
                         ("refresh_frames_per_s".into(), adaptive_refresh),
@@ -1632,20 +1470,15 @@ mod tests {
     fn overhead_gate_enforces_ratio_and_ceiling() {
         // 3x improvement, total under the ceiling: passes.
         let doc = validate_report_str(&overhead_report(600.0, 200.0, 700.0)).unwrap();
-        let (ratio, total) = check_overhead_gate(&doc).expect("gate passes");
-        assert!((ratio - 3.0).abs() < 1e-9);
-        assert!((total - 700.0).abs() < 1e-9);
+        let notes = gates(&doc, "overhead/").expect("gate passes");
+        assert!(notes[0].ends_with("3.000 at churn=0"), "{notes:?}");
+        assert!(notes[1].ends_with("700.000 at churn=0"), "{notes:?}");
         // Only 1.5x improvement: fails.
         let doc = validate_report_str(&overhead_report(300.0, 200.0, 700.0)).unwrap();
-        assert!(check_overhead_gate(&doc).unwrap_err().contains("below"));
+        assert!(gates(&doc, "overhead/").unwrap_err().contains("below"));
         // Ratio fine but total control traffic blew through the ceiling.
-        let doc = validate_report_str(&overhead_report(
-            9000.0,
-            200.0,
-            OVERHEAD_CEILING_FRAMES_PER_S + 1.0,
-        ))
-        .unwrap();
-        assert!(check_overhead_gate(&doc).unwrap_err().contains("ceiling"));
+        let doc = validate_report_str(&overhead_report(9000.0, 200.0, 900.0 + 1.0)).unwrap();
+        assert!(gates(&doc, "overhead/").unwrap_err().contains("ceiling"));
         // Missing quiet rows: fails loudly.
         let doc = validate_report_str(&report(
             "overhead",
@@ -1657,7 +1490,7 @@ mod tests {
             )],
         ))
         .unwrap();
-        assert!(check_overhead_gate(&doc).is_err());
+        assert!(gates(&doc, "overhead/").is_err());
     }
 
     #[test]
@@ -1665,7 +1498,7 @@ mod tests {
         let mut rep = overhead_report(600.0, 200.0, 700.0);
         rep = rep.replace("\"smoke\": false", "\"smoke\": true");
         let doc = validate_report_str(&rep).unwrap();
-        assert!(check_overhead_gate(&doc).unwrap_err().contains("smoke"));
+        assert!(gates(&doc, "overhead/").unwrap_err().contains("smoke"));
     }
 
     fn scale_row(delivery: f64, frames: f64) -> Row {
@@ -1686,15 +1519,15 @@ mod tests {
         let baseline = validate_report_str(&report("scale", vec![scale_row(1.0, 500.0)])).unwrap();
         // Within both bands: passes with a summary line per checked row.
         let cand = validate_report_str(&report("scale", vec![scale_row(0.95, 540.0)])).unwrap();
-        let summary = check_trajectory(&cand, &baseline, 0.10, 0.15).expect("within bands");
+        let summary = check_trajectory(&cand, &baseline).expect("within bands");
         assert_eq!(summary.len(), 2);
         // Delivery regressed past the band.
         let cand = validate_report_str(&report("scale", vec![scale_row(0.85, 500.0)])).unwrap();
-        let err = check_trajectory(&cand, &baseline, 0.10, 0.15).unwrap_err();
+        let err = check_trajectory(&cand, &baseline).unwrap_err();
         assert!(err.contains("delivery"), "{err}");
         // Overhead grew past the band.
         let cand = validate_report_str(&report("scale", vec![scale_row(1.0, 600.0)])).unwrap();
-        let err = check_trajectory(&cand, &baseline, 0.10, 0.15).unwrap_err();
+        let err = check_trajectory(&cand, &baseline).unwrap_err();
         assert!(err.contains("control_frames_per_s"), "{err}");
         // A baseline row vanishing from the candidate is a failure, not a
         // silent skip.
@@ -1705,7 +1538,7 @@ mod tests {
             vec![("delivery".into(), 1.0)],
         );
         let cand = validate_report_str(&report("scale", vec![other])).unwrap();
-        let err = check_trajectory(&cand, &baseline, 0.10, 0.15).unwrap_err();
+        let err = check_trajectory(&cand, &baseline).unwrap_err();
         assert!(err.contains("missing"), "{err}");
     }
 
@@ -1713,7 +1546,7 @@ mod tests {
     fn trajectory_gate_collects_every_violation() {
         let baseline = validate_report_str(&report("scale", vec![scale_row(1.0, 500.0)])).unwrap();
         let cand = validate_report_str(&report("scale", vec![scale_row(0.5, 900.0)])).unwrap();
-        let err = check_trajectory(&cand, &baseline, 0.10, 0.15).unwrap_err();
+        let err = check_trajectory(&cand, &baseline).unwrap_err();
         assert!(
             err.contains("delivery") && err.contains("control_frames_per_s"),
             "{err}"
@@ -1736,22 +1569,27 @@ mod tests {
             vec![loss_row("loss=0.25", 0.95), loss_row("loss=0.3", 0.94)],
         );
         let doc = validate_report_str(&ok).unwrap();
-        let band = check_loss_high_band(&doc).expect("band holds");
-        assert_eq!(band.len(), 2);
+        let band = gates(&doc, "loss/frame-loss loss=0.25|loss=0.3 ").expect("band holds");
+        assert!(
+            band[0].ends_with("0.950 at loss=0.25, 0.940 at loss=0.3"),
+            "{band:?}"
+        );
         // One point under the band fails.
         let bad = report(
             "loss",
             vec![
                 loss_row("loss=0.25", 0.95),
-                loss_row("loss=0.3", LOSS_HIGH_FLOOR - 0.01),
+                loss_row("loss=0.3", 0.93 - 0.01),
             ],
         );
         let doc = validate_report_str(&bad).unwrap();
-        assert!(check_loss_high_band(&doc).unwrap_err().contains("loss=0.3"));
+        assert!(gates(&doc, "loss/frame-loss loss=0.25|loss=0.3 ")
+            .unwrap_err()
+            .contains("0.920 at loss=0.3 is below"));
         // A missing point fails loudly instead of silently passing.
         let partial = report("loss", vec![loss_row("loss=0.25", 0.99)]);
         let doc = validate_report_str(&partial).unwrap();
-        assert!(check_loss_high_band(&doc)
+        assert!(gates(&doc, "loss/frame-loss loss=0.25|loss=0.3 ")
             .unwrap_err()
             .contains("no hvdb frame-loss row"));
     }
@@ -1792,17 +1630,18 @@ mod tests {
     fn traffic_gate_enforces_knee_ordering() {
         // hvdb knees at 320, baselines at 80: passes, knee reported.
         let doc = validate_report_str(&traffic_report(320.0, 80.0)).unwrap();
-        let (knee, p99) = check_traffic_gate(&doc).expect("gate passes");
-        assert_eq!(knee, 320.0);
-        assert!((p99 - 40.0).abs() < 1e-9);
+        let notes = gates(&doc, "traffic/").expect("gate passes");
+        assert!(
+            notes[0].ends_with("knees hvdb 320, flooding 80, shared-tree 80"),
+            "{notes:?}"
+        );
+        assert!(notes[2].ends_with("40.000 at pps=160"), "{notes:?}");
         // Baselines sustain as much as hvdb: fails (strict ordering).
         let doc = validate_report_str(&traffic_report(320.0, 320.0)).unwrap();
-        assert!(check_traffic_gate(&doc)
-            .unwrap_err()
-            .contains("out-sustain"));
+        assert!(gates(&doc, "traffic/").unwrap_err().contains("out-sustain"));
         // hvdb knees below a baseline: fails.
         let doc = validate_report_str(&traffic_report(80.0, 160.0)).unwrap();
-        assert!(check_traffic_gate(&doc).is_err());
+        assert!(gates(&doc, "traffic/").is_err());
     }
 
     #[test]
@@ -1826,7 +1665,7 @@ mod tests {
             rows.push(traffic_row(pps, "shared-tree", bd, bp));
         }
         let doc = validate_report_str(&report("traffic", rows)).unwrap();
-        let err = check_traffic_gate(&doc).unwrap_err();
+        let err = gates(&doc, "traffic/").unwrap_err();
         assert!(err.contains("160"), "{err}");
     }
 
@@ -1837,11 +1676,7 @@ mod tests {
         let sweep = [20.0, 80.0, 160.0, 320.0, 640.0];
         let mut rows = Vec::new();
         for &pps in &sweep {
-            let p99 = if pps == 160.0 {
-                TRAFFIC_P99_BAND_MS.1 + 1.0
-            } else {
-                40.0
-            };
+            let p99 = if pps == 160.0 { 60.0 + 1.0 } else { 40.0 };
             rows.push(traffic_row(pps, "hvdb", 0.99, p99));
             let (bd, bp) = if pps <= 80.0 {
                 (0.95, 45.0)
@@ -1852,15 +1687,19 @@ mod tests {
             rows.push(traffic_row(pps, "shared-tree", bd, bp));
         }
         let doc = validate_report_str(&report("traffic", rows)).unwrap();
-        assert!(check_traffic_gate(&doc).unwrap_err().contains("band"));
+        let err = gates(&doc, "traffic/").unwrap_err();
+        assert!(
+            err.contains("p99_ms <= 60") && err.contains("ceiling"),
+            "{err}"
+        );
         // Smoke reports are refused outright.
         let smoke = traffic_report(320.0, 80.0).replace("\"smoke\": false", "\"smoke\": true");
         let doc = validate_report_str(&smoke).unwrap();
-        assert!(check_traffic_gate(&doc).unwrap_err().contains("smoke"));
+        assert!(gates(&doc, "traffic/").unwrap_err().contains("smoke"));
         // Missing baseline rows fail loudly.
         let hvdb_only = report("traffic", vec![traffic_row(20.0, "hvdb", 0.99, 30.0)]);
         let doc = validate_report_str(&hvdb_only).unwrap();
-        assert!(check_traffic_gate(&doc).unwrap_err().contains("flooding"));
+        assert!(gates(&doc, "traffic/").unwrap_err().contains("flooding"));
     }
 
     fn threads_row(threads: u64, eps: f64, events: f64, hw: f64) -> Row {
@@ -1887,10 +1726,11 @@ mod tests {
             ],
         );
         let doc = validate_report_str(&rep).unwrap();
-        let (label, speedup, enforced) = check_perf_threads_gate(&doc, 2.0).expect("passes");
-        assert_eq!(label, "threads=4");
-        assert!((speedup - 2.5).abs() < 1e-9);
-        assert!(enforced);
+        let notes = gates(&doc, "perf/").expect("passes");
+        assert!(
+            notes[1].ends_with("2.50x at threads=4 (floor 2)"),
+            "{notes:?}"
+        );
         // Below the floor on a capable machine: fails.
         let rep = report(
             "perf",
@@ -1900,9 +1740,7 @@ mod tests {
             ],
         );
         let doc = validate_report_str(&rep).unwrap();
-        assert!(check_perf_threads_gate(&doc, 2.0)
-            .unwrap_err()
-            .contains("below"));
+        assert!(gates(&doc, "perf/").unwrap_err().contains("below"));
     }
 
     #[test]
@@ -1917,8 +1755,8 @@ mod tests {
             ],
         );
         let doc = validate_report_str(&rep).unwrap();
-        let (_, _, enforced) = check_perf_threads_gate(&doc, 2.0).expect("waived");
-        assert!(!enforced);
+        let notes = gates(&doc, "perf/").expect("waived");
+        assert!(notes[1].contains("waived"), "{notes:?}");
         // ...but the determinism half never is.
         let rep = report(
             "perf",
@@ -1928,25 +1766,47 @@ mod tests {
             ],
         );
         let doc = validate_report_str(&rep).unwrap();
-        assert!(check_perf_threads_gate(&doc, 2.0)
-            .unwrap_err()
-            .contains("diverged"));
+        assert!(gates(&doc, "perf/").unwrap_err().contains("diverged"));
     }
 
     #[test]
     fn threads_gate_requires_both_rows() {
         let rep = report("perf", vec![threads_row(4, 2.5e6, 5e6, 4.0)]);
         let doc = validate_report_str(&rep).unwrap();
-        assert!(check_perf_threads_gate(&doc, 2.0).is_err());
+        assert!(gates(&doc, "perf/").is_err());
         // Two rows but no threads=1 baseline.
         let rep = report(
             "perf",
             vec![threads_row(2, 1e6, 5e6, 4.0), threads_row(4, 2e6, 5e6, 4.0)],
         );
         let doc = validate_report_str(&rep).unwrap();
-        assert!(check_perf_threads_gate(&doc, 2.0)
+        assert!(gates(&doc, "perf/").unwrap_err().contains("baseline"));
+    }
+
+    #[test]
+    fn scale_campaign_row_is_skipped_on_smoke_reports() {
+        let rows = || {
+            let par = |t: u64| {
+                let events = vec![("events_processed".into(), 5e6)];
+                Row::new("engine-threads", format!("threads={t}"), "hvdb-par", events)
+            };
+            let small = Row::new(
+                "network-size",
+                "nodes=30",
+                "hvdb",
+                vec![("delivery".into(), 1.0)],
+            );
+            vec![par(1), par(4), small]
+        };
+        // Smoke: thread invariance is checked, the campaign point is not.
+        let smoke = report("scale", rows()).replace("\"smoke\": false", "\"smoke\": true");
+        let doc = validate_report_str(&smoke).unwrap();
+        assert_eq!(gates(&doc, "scale/").expect("smoke passes").len(), 2);
+        // A full report must carry the campaign point.
+        let doc = validate_report_str(&report("scale", rows())).unwrap();
+        assert!(gates(&doc, "scale/")
             .unwrap_err()
-            .contains("baseline"));
+            .contains("no hvdb-par network-size row at nodes>=20000"));
     }
 
     #[test]
@@ -1987,35 +1847,33 @@ mod tests {
     fn partition_gate_enforces_floor_and_remerge_budget() {
         let ok = report("partition", partition_rows(0.99, 10.0));
         let doc = validate_report_str(&ok).unwrap();
-        // Two numeric gates plus the timeline cross-check note (skipped
-        // here: the synthetic report has no timeline block).
-        assert_eq!(check_partition_gate(&doc).expect("passes").len(), 3);
+        // One note per gate row (the timeline cross-check is part of the
+        // schema check, and this synthetic report has no timeline).
+        assert_eq!(gates(&doc, "partition/").expect("passes").len(), 2);
         // Reachable delivery under the floor.
-        let bad = report(
-            "partition",
-            partition_rows(PARTITION_REACHABLE_DELIVERY_FLOOR - 0.01, 10.0),
-        );
+        let bad = report("partition", partition_rows(0.95 - 0.01, 10.0));
         let doc = validate_report_str(&bad).unwrap();
-        assert!(check_partition_gate(&doc)
+        assert!(gates(&doc, "partition/")
             .unwrap_err()
-            .contains("reachable"));
+            .contains("0.940 at phase=partition is below"));
         // Re-merge over budget.
-        let bad = report(
-            "partition",
-            partition_rows(0.99, PARTITION_REMERGE_BUDGET_SECS + 1.0),
-        );
+        let bad = report("partition", partition_rows(0.99, 15.0 + 1.0));
         let doc = validate_report_str(&bad).unwrap();
-        assert!(check_partition_gate(&doc).unwrap_err().contains("re-merge"));
+        let err = gates(&doc, "partition/").unwrap_err();
+        assert!(
+            err.contains("remerge_secs_worst <= 15") && err.contains("exceeds"),
+            "{err}"
+        );
         // Missing rows fail loudly; smoke is refused.
         let none = report("partition", partition_rows(0.99, 10.0)[..1].to_vec());
         let doc = validate_report_str(&none).unwrap();
-        assert!(check_partition_gate(&doc)
+        assert!(gates(&doc, "partition/")
             .unwrap_err()
-            .contains("remerge_secs_worst"));
+            .contains("no hvdb partition row at phase=healed"));
         let smoke = report("partition", partition_rows(0.99, 10.0))
             .replace("\"smoke\": false", "\"smoke\": true");
         let doc = validate_report_str(&smoke).unwrap();
-        assert!(check_partition_gate(&doc).unwrap_err().contains("smoke"));
+        assert!(gates(&doc, "partition/").unwrap_err().contains("smoke"));
     }
 
     fn byz_row(k: u64, damage: f64) -> Row {
@@ -2034,31 +1892,31 @@ mod tests {
     fn byzantine_gate_bounds_damage_per_node() {
         let ok = report("byzantine", vec![byz_row(0, 0.0), byz_row(2, 0.01)]);
         let doc = validate_report_str(&ok).unwrap();
-        assert_eq!(check_byzantine_gate(&doc).expect("passes").len(), 1);
+        assert_eq!(gates(&doc, "byzantine/").expect("passes").len(), 2);
         // One row over the ceiling fails.
         let bad = report(
             "byzantine",
-            vec![
-                byz_row(0, 0.0),
-                byz_row(1, 0.01),
-                byz_row(4, BYZANTINE_DAMAGE_PER_NODE + 0.01),
-            ],
+            vec![byz_row(0, 0.0), byz_row(1, 0.01), byz_row(4, 0.05 + 0.01)],
         );
         let doc = validate_report_str(&bad).unwrap();
-        assert!(check_byzantine_gate(&doc).unwrap_err().contains("byz=4"));
+        assert!(gates(&doc, "byzantine/")
+            .unwrap_err()
+            .contains("0.060 at byz=4 exceeds"));
         // Missing k=0 control fails loudly.
         let none = report("byzantine", vec![byz_row(2, 0.01)]);
         let doc = validate_report_str(&none).unwrap();
-        assert!(check_byzantine_gate(&doc).unwrap_err().contains("byz=0"));
+        assert!(gates(&doc, "byzantine/")
+            .unwrap_err()
+            .contains("no hvdb byzantine row at byz=0"));
         // No gated rows at all fails (k=0 alone proves nothing).
         let only_control = report("byzantine", vec![byz_row(0, 0.0)]);
         let doc = validate_report_str(&only_control).unwrap();
-        assert!(check_byzantine_gate(&doc).is_err());
+        assert!(gates(&doc, "byzantine/").is_err());
         // Smoke refused.
         let smoke = report("byzantine", vec![byz_row(0, 0.0), byz_row(2, 0.01)])
             .replace("\"smoke\": false", "\"smoke\": true");
         let doc = validate_report_str(&smoke).unwrap();
-        assert!(check_byzantine_gate(&doc).unwrap_err().contains("smoke"));
+        assert!(gates(&doc, "byzantine/").unwrap_err().contains("smoke"));
     }
 
     #[test]
@@ -2073,5 +1931,154 @@ mod tests {
             panic!()
         };
         assert_eq!(name, "üñí-ödé \"x\"\n");
+    }
+
+    /// The committed report of `scenario` at the repository root.
+    fn committed(scenario: &str) -> Json {
+        let path = format!("{}/../../BENCH_{scenario}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        validate_report_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// Applies `edit` to the metric map of every row at `(sweep, label,
+    /// proto)`; `None` for `label` means every label.
+    fn edit_rows(
+        doc: &mut Json,
+        sweep: &str,
+        label: Option<&str>,
+        proto: &str,
+        edit: impl Fn(&mut Vec<(String, Json)>),
+    ) {
+        let Json::Obj(fields) = doc else { panic!() };
+        let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "rows") else {
+            panic!()
+        };
+        for row in rows {
+            let Json::Obj(rf) = row else { panic!() };
+            let is = |key: &str, want: &str| {
+                rf.iter()
+                    .any(|(k, v)| k == key && matches!(v, Json::Str(s) if s == want))
+            };
+            if is("sweep", sweep) && label.is_none_or(|l| is("label", l)) && is("proto", proto) {
+                let Some((_, Json::Obj(metrics))) = rf.iter_mut().find(|(k, _)| k == "metrics")
+                else {
+                    panic!()
+                };
+                edit(metrics);
+            }
+        }
+    }
+
+    fn set_metric(doc: &mut Json, g: &Gate, label: &str, metric: &str, value: f64) {
+        edit_rows(doc, g.sweep, Some(label), g.proto, |m| {
+            m.iter_mut()
+                .find(|(k, _)| k == metric)
+                .expect("metric present")
+                .1 = Json::Num(value)
+        });
+    }
+
+    /// The printed rows of the gates failing on `doc`.
+    fn failing(doc: &Json) -> Vec<String> {
+        check_gates(doc)
+            .into_iter()
+            .filter_map(Result::err)
+            .collect()
+    }
+
+    #[test]
+    fn every_committed_report_passes_schema_and_gates() {
+        let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+        let mut scenarios = Vec::new();
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let Some(scenario) = name
+                .strip_prefix("BENCH_")
+                .and_then(|n| n.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            let doc = committed(scenario);
+            let verdicts = check_gates(&doc);
+            let rows = GATES.iter().filter(|g| g.scenario == scenario).count();
+            assert_eq!(verdicts.len(), rows, "{name}");
+            for v in verdicts {
+                assert!(v.is_ok(), "{name}: {v:?}");
+            }
+            scenarios.push(scenario.to_string());
+        }
+        // Every gated scenario has a committed report to hold it.
+        for g in GATES {
+            assert!(scenarios.iter().any(|s| s == g.scenario), "{g}");
+        }
+    }
+
+    /// Each gate row, on its committed report: its value moved onto the
+    /// bound passes, moved just past the bound fails that row alone.
+    #[test]
+    fn nudging_a_gated_value_past_its_bound_fails_that_row() {
+        for g in GATES {
+            let doc = committed(g.scenario);
+            let rows = report_rows(&doc).unwrap();
+            let pts = g.points(&rows, g.proto).unwrap();
+            let (first, last) = (&pts[0], pts.last().unwrap());
+            let near = |b: f64, dir: f64| b + dir * 1e-9 * b.abs().max(1.0);
+            let (mut ok, mut bad) = (doc.clone(), doc.clone());
+            let (label, on, past) = match g.rule {
+                Rule::Min(b) => (first.label, b, near(b, -1.0)),
+                Rule::Max(b) => (first.label, b, near(b, 1.0)),
+                Rule::RatioMin { over, min } => {
+                    let den = g.points(&rows, over).unwrap()[0].get(g.metric).unwrap();
+                    (first.label, near(den * min, 1.0), near(den * min, -1.0))
+                }
+                Rule::Equal => {
+                    let v = first.get(g.metric).unwrap();
+                    (last.label, v, v + 1.0)
+                }
+                Rule::Speedup { full, .. } => {
+                    // Lift the waiver so the floor is enforced.
+                    for doc in [&mut ok, &mut bad] {
+                        edit_rows(doc, g.sweep, None, g.proto, |m| {
+                            for (k, v) in m.iter_mut() {
+                                if k == "hardware_threads" {
+                                    *v = Json::Num(SPEEDUP_MIN_THREADS);
+                                }
+                            }
+                        });
+                    }
+                    let base = first.get(g.metric).unwrap() * full;
+                    (last.label, near(base, 1.0), near(base, -1.0))
+                }
+                // The arm's highest sustained point drops out of the knee.
+                Rule::KneeAbove { min, .. } => (last.label, min, near(min, -1.0)),
+            };
+            set_metric(&mut ok, g, label, g.metric, on);
+            set_metric(&mut bad, g, label, g.metric, past);
+            assert!(g.check(&ok).is_ok(), "{g}: {:?}", g.check(&ok));
+            assert!(failing(&ok).is_empty(), "{g}: {:?}", failing(&ok));
+            let fails = failing(&bad);
+            assert_eq!(fails.len(), 1, "{g}: {fails:?}");
+            assert!(fails[0].starts_with(&format!("{g}: ")), "{g}: {fails:?}");
+        }
+    }
+
+    /// `list --json` prints [`Gate::reads`] as the gated metrics; each one
+    /// must really be read: deleting it from the committed report fails.
+    #[test]
+    fn every_metric_a_gate_reads_is_load_bearing() {
+        for g in GATES {
+            for metric in g.reads() {
+                let mut doc = committed(g.scenario);
+                edit_rows(&mut doc, g.sweep, None, g.proto, |m| {
+                    m.retain(|(k, _)| k != metric)
+                });
+                assert!(
+                    failing(&doc)
+                        .iter()
+                        .any(|f| f.starts_with(&format!("{g}: "))),
+                    "{g}: deleting {metric} passes"
+                );
+            }
+        }
     }
 }

@@ -7,8 +7,8 @@
 //!   dispatch);
 //! * `mobility_tick` — the incremental spatial-index update under a
 //!   whole-population waypoint step;
-//! * `class_counters` — per-transmission stats accounting: interned
-//!   class-id slots vs the old string-keyed hash maps;
+//! * `class_counters` — per-transmission stats accounting into the
+//!   interned class-id slots;
 //! * `commit_pass` — the parallel engine's window commit: Tx ops
 //!   pre-folded into per-shard digests, then shard outboxes merged by
 //!   dispatch key onto the heap + bulk counter applies.
@@ -22,7 +22,6 @@ use hvdb_sim::{
     Ctx, EventKind, EventQueue, Mobility, NodeId, Protocol, RandomWaypoint, SimConfig, SimDuration,
     SimRng, SimTime, Simulator, Stats, World,
 };
-use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -138,25 +137,6 @@ fn bench_class_counters(c: &mut Criterion) {
             let (class, bytes) = CLASS_MIX[i];
             stats.count_tx(NodeId((i % NODES) as u32), class, bytes);
             black_box(stats.node_tx_msgs[i % NODES])
-        })
-    });
-    // The pre-interning accounting (PR 4 residual): two string-keyed
-    // FxHashMap entry lookups hashing the class label's bytes on every
-    // single transmission.
-    group.bench_function("string_keyed_maps", |b| {
-        let mut msgs: FxHashMap<&'static str, u64> = FxHashMap::default();
-        let mut bytes_by_class: FxHashMap<&'static str, u64> = FxHashMap::default();
-        let mut node_tx_msgs = vec![0u64; NODES];
-        let mut node_tx_bytes = vec![0u64; NODES];
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % CLASS_MIX.len();
-            let (class, bytes) = CLASS_MIX[i];
-            *msgs.entry(class).or_insert(0) += 1;
-            *bytes_by_class.entry(class).or_insert(0) += bytes as u64;
-            node_tx_msgs[i % NODES] += 1;
-            node_tx_bytes[i % NODES] += bytes as u64;
-            black_box(node_tx_msgs[i % NODES])
         })
     });
     group.finish();
